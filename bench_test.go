@@ -331,12 +331,10 @@ func fig15BenchStream(ranks, n int) ([][]seq.Sequence, func(i int) int) {
 }
 
 // fig15FullBench measures the full hierarchical solve at one world size
-// and solve fan-out over the churning stream.
-func fig15FullBench(b *testing.B, ranks, solveWorkers int) {
+// over the churning stream.
+func fig15FullBench(b *testing.B, ranks int) {
 	stream, at := fig15BenchStream(ranks, b.N)
-	cfg := experiments.Fig15PlanConfig(ranks)
-	cfg.SolveWorkers = solveWorkers
-	p, err := partition.New(cfg)
+	p, err := partition.New(experiments.Fig15PlanConfig(ranks))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,48 +351,43 @@ func fig15FullBench(b *testing.B, ranks, solveWorkers int) {
 	}
 }
 
-func BenchmarkFig15PlanFull(b *testing.B) { fig15FullBench(b, fig15BenchRanks, 1) }
+func BenchmarkFig15PlanFull(b *testing.B) { fig15FullBench(b, fig15BenchRanks) }
 
-// BenchmarkFig15ParallelSolve is the tentpole's perf pin, in two parts.
-// The solve-workers variants fan one session's full solve at the
-// 1024-rank sweep point — workers=4 must stay well ahead of workers=1
-// ns/op (the ≥1.5x acceptance bar; CI gates the ratio via benchgate).
-// The sessions variant measures aggregate plans/sec when GOMAXPROCS
-// concurrent sessions each run their own serial solve — the zeppelind
-// fleet scenario, where parallelism comes from the session pool rather
-// than from fanning a single solve.
-func BenchmarkFig15ParallelSolve(b *testing.B) {
-	const ranks = 1024
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("solve-workers=%d", w), func(b *testing.B) {
-			fig15FullBench(b, ranks, w)
-		})
-	}
-	b.Run("sessions", func(b *testing.B) {
-		stream, at := fig15BenchStream(ranks, fig15BenchStreamCap)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			// b.Error, not b.Fatal: FailNow must not run off the
-			// benchmark goroutine.
-			p, err := partition.New(experiments.Fig15PlanConfig(ranks))
-			if err != nil {
+// fig15LargeRanks is the larger gated sweep point of the full solve.
+const fig15LargeRanks = 1024
+
+// BenchmarkFig15PlanFull1024 is the full solve at the 1024-rank sweep
+// point.
+func BenchmarkFig15PlanFull1024(b *testing.B) { fig15FullBench(b, fig15LargeRanks) }
+
+// BenchmarkFig15PlanSessions measures aggregate plans/sec at 1024 ranks
+// when GOMAXPROCS concurrent sessions each run their own full solve —
+// the zeppelind fleet scenario, where parallelism comes from the
+// session pool.
+func BenchmarkFig15PlanSessions(b *testing.B) {
+	stream, at := fig15BenchStream(fig15LargeRanks, fig15BenchStreamCap)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// b.Error, not b.Fatal: FailNow must not run off the benchmark
+		// goroutine.
+		p, err := partition.New(experiments.Fig15PlanConfig(fig15LargeRanks))
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		i := 0
+		for pb.Next() {
+			if _, err := p.Plan(stream[at(i)]); err != nil {
 				b.Error(err)
 				return
 			}
-			i := 0
-			for pb.Next() {
-				if _, err := p.Plan(stream[at(i)]); err != nil {
-					b.Error(err)
-					return
-				}
-				i++
-			}
-		})
-		b.StopTimer()
-		if secs := b.Elapsed().Seconds(); secs > 0 {
-			b.ReportMetric(float64(b.N)/secs, "plans/s")
+			i++
 		}
 	})
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)/secs, "plans/s")
+	}
 }
 
 func BenchmarkFig15PlanIncremental(b *testing.B) {

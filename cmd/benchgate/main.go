@@ -53,7 +53,7 @@ import (
 // DefaultGate selects the benchmarks the pipeline fails on: the
 // planner stack plus zeppelin-loadgen's service-throughput headline
 // (BenchmarkLoadgenPlan encodes plans/sec as ns/plan).
-const DefaultGate = `^Benchmark(Fig15Plan|Fig15ParallelSolve|PartitionerPlan|RemapSolve|LoadgenPlan)`
+const DefaultGate = `^Benchmark(Fig15Plan|PartitionerPlan|RemapSolve|LoadgenPlan)`
 
 func main() {
 	input := flag.String("input", "-", `bench output to parse ("-" = stdin)`)

@@ -104,8 +104,8 @@ func TestDefaultGateCoversPlannerStack(t *testing.T) {
 		"BenchmarkFig15PlanFull",
 		"BenchmarkFig15PlanIncremental",
 		"BenchmarkFig15PlanIncrementalReuse",
-		"BenchmarkFig15ParallelSolve/solve-workers=4",
-		"BenchmarkFig15ParallelSolve/sessions",
+		"BenchmarkFig15PlanFull1024",
+		"BenchmarkFig15PlanSessions",
 		"BenchmarkPartitionerPlan",
 		"BenchmarkRemapSolve",
 		"BenchmarkLoadgenPlan",

@@ -31,7 +31,6 @@ func TestBenchCmdRejectsInvalidFlags(t *testing.T) {
 	wantBenchUsage(t, []string{"-ranks", "banana"}, "bad ranks")
 	wantBenchUsage(t, []string{"-ranks", "-8"}, "bad ranks")
 	wantBenchUsage(t, []string{"-ranks", "7"}, "multiple")
-	wantBenchUsage(t, []string{"-solve-workers", "-1"}, "-solve-workers")
 	wantBenchUsage(t, []string{"positional"}, "unexpected arguments")
 }
 

@@ -9,7 +9,7 @@
 //	zeppelin [-seeds N] [-workers N] [-json] <experiment>
 //	zeppelin [-seeds N] [-workers N] campaign [-iters N] [-arrival P] [-drift D] [-policy P] [-json] [...]
 //	zeppelin [-seeds N] [-workers N] tune [-space S] [-budget N] [-weights W] [-json] [...]
-//	zeppelin bench [-ranks R1,R2] [-iters N] [-solve-workers N] [-json]
+//	zeppelin bench [-ranks R1,R2] [-iters N] [-json]
 //	zeppelin replay [-iters N] [-seed N] [-flip iter=N:decision=replan|reuse] [-json] [...]
 //	zeppelin -version
 //
@@ -175,7 +175,7 @@ func usage() {
        zeppelin [-seeds N] [-workers N] campaign [flags]
        zeppelin [-seeds N] [-workers N] serve [flags]
        zeppelin [-seeds N] [-workers N] tune [flags]
-       zeppelin bench [-ranks R1,R2] [-iters N] [-solve-workers N] [-json]
+       zeppelin bench [-ranks R1,R2] [-iters N] [-json]
        zeppelin replay [flags]
        zeppelin -version
 
@@ -201,7 +201,6 @@ tune flags:     -space GRAMMAR (key=value dims; a|b sets, lo:hi intervals;
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
                 -faults)  -json
 bench flags:    -ranks 64,256 (world sizes, multiples of 8)  -iters N
-                -solve-workers N (fan the full solve; plans stay bit-identical)
                 -json (benchfmt artifact, the BENCH_*.json schema)
 replay flags:   -iters N  -seed N  -flip iter=N:decision=replan|reuse
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
@@ -251,7 +250,6 @@ func benchCmd(w io.Writer, args []string, jsonOut bool) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	ranksFlag := fs.String("ranks", "64,256", "comma-separated world sizes (ranks, multiples of 8)")
 	iters := fs.Int("iters", 0, "planning stream length per cell; must be >= 2 (0 selects the fig15 default)")
-	solveWorkers := fs.Int("solve-workers", 0, "solve fan-out for the full planner; <= 1 runs single-threaded")
 	subJSON := fs.Bool("json", false, "emit the benchfmt artifact as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -261,9 +259,6 @@ func benchCmd(w io.Writer, args []string, jsonOut bool) error {
 	}
 	if *iters != 0 && *iters < 2 {
 		return usageErrorf("bench: -iters must be >= 2, got %d", *iters)
-	}
-	if *solveWorkers < 0 {
-		return usageErrorf("bench: -solve-workers must be >= 0, got %d", *solveWorkers)
 	}
 	var ranks []int
 	for _, part := range strings.Split(*ranksFlag, ",") {
@@ -276,7 +271,7 @@ func benchCmd(w io.Writer, args []string, jsonOut bool) error {
 	jsonOut = jsonOut || *subJSON
 
 	art, err := zeppelin.RunPlannerBench(context.Background(),
-		zeppelin.BenchOptions{Ranks: ranks, Iters: *iters, SolveWorkers: *solveWorkers})
+		zeppelin.BenchOptions{Ranks: ranks, Iters: *iters})
 	if err != nil {
 		return usageError{err}
 	}

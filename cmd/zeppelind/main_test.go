@@ -125,63 +125,6 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 }
 
-// TestPlanEndpointSolveWorkers: the -solve-workers daemon flag fans the
-// plan solve and surfaces on the wire as solve_mode, while the plan
-// itself stays byte-identical to the serial daemon's — the property the
-// CI determinism job diffs end to end.
-func TestPlanEndpointSolveWorkers(t *testing.T) {
-	body := `{"model":"7B","dataset":"arxiv","seed":42}`
-	plan := func(cfg serverConfig) ([]byte, zeppelin.PlanResponse) {
-		t.Helper()
-		ts := httptest.NewServer(newServer(context.Background(), cfg))
-		defer ts.Close()
-		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d err = %v: %s", resp.StatusCode, err, raw)
-		}
-		var pr zeppelin.PlanResponse
-		if err := json.Unmarshal(raw, &pr); err != nil {
-			t.Fatal(err)
-		}
-		return raw, pr
-	}
-	serial := testConfig()
-	serial.solveWorkers = 1
-	rawSerial, prSerial := plan(serial)
-	if prSerial.SolveMode != "serial" {
-		t.Fatalf("solve-workers=1: solve_mode = %q, want serial", prSerial.SolveMode)
-	}
-	fanned := testConfig()
-	fanned.solveWorkers = 4
-	rawFanned, prFanned := plan(fanned)
-	if prFanned.SolveMode != "parallel-4" {
-		t.Fatalf("solve-workers=4: solve_mode = %q, want parallel-4", prFanned.SolveMode)
-	}
-	strip := func(raw []byte) []byte {
-		var out []byte
-		for _, line := range bytes.Split(raw, []byte("\n")) {
-			if bytes.Contains(line, []byte(`"solve_mode"`)) {
-				continue
-			}
-			out = append(out, line...)
-			out = append(out, '\n')
-		}
-		return out
-	}
-	if !bytes.Equal(strip(rawSerial), strip(rawFanned)) {
-		t.Fatalf("plans differ across solve-worker counts:\n%s\nvs\n%s", rawSerial, rawFanned)
-	}
-	// The default daemon (flag unset) keeps the historical wire shape.
-	if raw, pr := plan(testConfig()); pr.SolveMode != "" || bytes.Contains(raw, []byte(`"solve_mode"`)) {
-		t.Fatalf("default config leaked solve_mode: %s", raw)
-	}
-}
-
 func TestPlanRejectsBadBodies(t *testing.T) {
 	ts := testServer(t)
 	cases := []string{

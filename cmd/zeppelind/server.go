@@ -35,11 +35,6 @@ type serverConfig struct {
 	// workers bounds concurrent simulation slots (and each request's
 	// internal pool); seeds is the per-cell averaging of experiments.
 	workers, seeds int
-	// solveWorkers fans each plan request's partition solve across a
-	// worker pool (0 = serial). Plans are bit-identical at every count;
-	// the knob only moves the plan-solve latency histogram. Mapped from
-	// the -solve-workers flag.
-	solveWorkers int
 	// rate is the default per-class admission rate in requests/sec; a
 	// non-positive rate disables admission for classes not overridden.
 	// burst is the shared bucket depth.
@@ -166,12 +161,7 @@ func newServer(ctx context.Context, cfg serverConfig) *server {
 	if cfg.planCacheEntries > 0 {
 		s.planCache = zeppelin.NewPlanCache(cfg.planCacheEntries)
 	}
-	// WithParallelSolve(0) is a no-op, so the default flag value keeps
-	// the historical serial solve; any positive count fans the solve and
-	// shows up in the zeppelind_plan_solve_seconds histogram handlePlan
-	// feeds around planner.Plan.
-	s.planner = zeppelin.NewPlanner(zeppelin.WithPlanCache(s.planCache),
-		zeppelin.WithParallelSolve(cfg.solveWorkers))
+	s.planner = zeppelin.NewPlanner(zeppelin.WithPlanCache(s.planCache))
 	mux := http.NewServeMux()
 	// /healthz and /metrics stay unadmitted: liveness probes must see
 	// the daemon alive — and scrapers must see the saturation gauges —

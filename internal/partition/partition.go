@@ -8,32 +8,23 @@
 // would exceed capacity, which guarantees a feasible plan whenever the
 // batch fits in aggregate memory.
 //
-// The solve parallelizes across the two independent axes the algorithms
-// expose. Each Alg. 1 threshold retry is a pure function of the sorted
-// batch and the candidate threshold, and the retry chain — P·L, then the
-// distinct sequence lengths in descending order — is known up front, so
-// SolveWorkers > 1 evaluates candidate thresholds speculatively in waves
-// and keeps the first (highest-threshold) success, which is exactly the
-// threshold the serial loop converges to. The per-node Alg. 2 solves
-// depend only on their node's assignment and inter-ring load, so they fan
-// out across the same worker pool and merge in node order. Both paths are
-// bit-identical to the serial solve by construction, and tests pin it.
+// The solve is one serial pass: Alg. 1 starts at threshold P·L and, on
+// a capacity failure, lowers it to the longest sequence still below it;
+// the per-node Alg. 2 solves then run in node order. Concurrency lives a
+// level up — independent planning sessions each own a Partitioner.
 //
 // A Partitioner owns reusable scratch buffers: repeated Plan calls (the
 // per-iteration hot path of streaming campaigns) and the threshold-retry
 // loops inside one call allocate almost nothing beyond the plan they
-// return. Parallel workers get their own scratch, also reused across
-// calls. The Incremental planner (incremental.go) layers a keyed plan
+// return. The Incremental planner (incremental.go) layers a keyed plan
 // cache and delta patching on top for the re-planning fast path.
 package partition
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"zeppelin/internal/cluster"
-	"zeppelin/internal/runner"
 	"zeppelin/internal/seq"
 )
 
@@ -51,14 +42,6 @@ type Config struct {
 	// checks stay in raw tokens (memory does not speed up). Nil reproduces
 	// the paper's homogeneous-cluster behavior exactly.
 	Speeds []float64
-	// SolveWorkers sets the parallelism of the full solve: candidate
-	// thresholds of the Alg. 1 retry loop are evaluated speculatively and
-	// the per-node Alg. 2 solves fan out across this many pool workers.
-	// The result is bit-identical to the serial solve for every value.
-	// <= 1 runs the historical single-threaded path. SolveWorkers does
-	// not make a Partitioner safe for concurrent use — the parallelism is
-	// internal to one Plan call.
-	SolveWorkers int
 }
 
 // validate checks a configuration.
@@ -84,8 +67,7 @@ func (cfg *Config) validate() error {
 
 // Partitioner runs the two-level hierarchical strategy. The zero value is
 // unusable; construct with New. Not safe for concurrent use (the scratch
-// buffers are shared across calls), including when SolveWorkers > 1 —
-// that parallelism lives inside a single Plan call.
+// buffers are shared across calls).
 type Partitioner struct {
 	cfg Config
 
@@ -95,14 +77,10 @@ type Partitioner struct {
 	nodeSpeed  []float64
 	interShare [][]int
 	share      []int // inter-ring emission scratch
-	chain      []int // Alg. 1 candidate threshold chain
-	waveOK     []bool
 
-	inter  interScratch   // serial Alg. 1 scratch
-	intra  intraScratch   // serial Alg. 2 scratch
-	winter []interScratch // parallel: per-wave-slot Alg. 1 scratch
-	wintra []intraScratch // parallel: per-worker Alg. 2 scratch
-	out    []nodeOut      // per-node Alg. 2 results, merged in node order
+	inter interScratch // Alg. 1 scratch
+	intra intraScratch // Alg. 2 scratch
+	out   []nodeOut    // per-node Alg. 2 results, merged in node order
 }
 
 // New validates the configuration.
@@ -142,15 +120,14 @@ type interPlacement struct {
 }
 
 // pickScratch holds the least-loaded selection buffers; every solve
-// context (serial or per-worker) owns one.
+// context owns one.
 type pickScratch struct {
 	pick []int
 	eff  []float64
 }
 
-// interScratch is one Alg. 1 evaluation context: evalInter is a pure
-// function of (sorted, threshold) writing only here, so candidate
-// thresholds evaluate concurrently on distinct scratch.
+// interScratch is the Alg. 1 working context: evalInter is a pure
+// function of (sorted, threshold) writing only here.
 type interScratch struct {
 	pickScratch
 	nodeLoad []int
@@ -170,8 +147,8 @@ type intraScratch struct {
 	share    []int
 }
 
-// nodeOut is one node's Alg. 2 result, written by whichever worker solved
-// the node and merged into the plan serially in node order.
+// nodeOut is one node's Alg. 2 result, merged into the plan in node
+// order.
 type nodeOut struct {
 	s0    int
 	local [][]seq.Sequence
@@ -202,19 +179,11 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 	// hosting stragglers.
 	nodeSpeed := p.nodeSpeeds(N)
 
-	workers := p.cfg.SolveWorkers
-	var win *interScratch
-	var s1 int
-	var err error
-	if workers > 1 {
-		win, s1, err = p.interParallel(p.sorted, N, P, L, nodeSpeed, workers)
-	} else {
-		win, s1, err = p.interSerial(p.sorted, N, P, L, nodeSpeed)
-	}
+	s1, err := p.interNode(p.sorted, N, P, L, nodeSpeed)
 	if err != nil {
 		return nil, err
 	}
-	nodeSeqs, inters := win.nodeSeqs, win.inters
+	nodeSeqs, inters := p.inter.nodeSeqs, p.inter.inters
 
 	plan := seq.NewPlan(c.World())
 	res := &Result{Plan: plan, S1: s1, S0: make([]int, N)}
@@ -240,28 +209,12 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 		}
 	}
 
-	// Per-node Alg. 2 solves: independent given (nodeSeqs[n],
-	// interShare[n]), so they fan out when workers > 1 and merge below in
-	// node order either way.
+	// Per-node Alg. 2 solves, merged below in node order.
 	out := p.nodeOutBuf(N, P)
-	if workers > 1 {
-		ws := p.intraWorkers(workers)
-		err = runner.ForEachWorker(context.Background(), workers, N, func(w, n int) error {
-			if e := p.intraNode(&ws[w], &out[n], n, nodeSeqs[n], interShare[n]); e != nil {
-				return fmt.Errorf("partition: node %d: %w", n, e)
-			}
-			return nil
-		})
-	} else {
-		for n := 0; n < N; n++ {
-			if e := p.intraNode(&p.intra, &out[n], n, nodeSeqs[n], interShare[n]); e != nil {
-				err = fmt.Errorf("partition: node %d: %w", n, e)
-				break
-			}
+	for n := 0; n < N; n++ {
+		if err := p.intraNode(&p.intra, &out[n], n, nodeSeqs[n], interShare[n]); err != nil {
+			return nil, fmt.Errorf("partition: node %d: %w", n, err)
 		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	for n := 0; n < N; n++ {
 		ranks := c.RanksOfNode(n)
@@ -329,106 +282,30 @@ func (p *Partitioner) nodeOutBuf(n, dev int) []nodeOut {
 	return p.out
 }
 
-// intraWorkers sizes the per-worker Alg. 2 scratch pool.
-func (p *Partitioner) intraWorkers(w int) []intraScratch {
-	if cap(p.wintra) < w {
-		ws := make([]intraScratch, w)
-		copy(ws, p.wintra)
-		p.wintra = ws
-	}
-	p.wintra = p.wintra[:w]
-	return p.wintra
-}
-
-// thresholdChain builds the Alg. 1 candidate threshold sequence: the
-// serial retry loop starts at P·L and, on each capacity failure, lowers
-// the threshold to the longest sequence below it — i.e. it walks P·L
-// followed by the distinct sequence lengths in strictly descending order.
-// The final candidate always succeeds (every sequence is then inter-zone
-// and chunked placement never capacity-checks), so the chain is the
-// complete space the serial loop can visit.
-func (p *Partitioner) thresholdChain(sorted []seq.Sequence, start int) []int {
-	chain := append(p.chain[:0], start)
-	last := start
-	for _, s := range sorted { // descending, so distinct lengths emerge in order
-		if s.Len < last {
-			chain = append(chain, s.Len)
-			last = s.Len
-		}
-	}
-	p.chain = chain
-	return chain
-}
-
-// interSerial walks the candidate chain one threshold at a time on the
-// partitioner's own scratch — the historical single-threaded Alg. 1.
-func (p *Partitioner) interSerial(sorted []seq.Sequence, n, pp, l int, nodeSpeed []float64) (*interScratch, int, error) {
-	chain := p.thresholdChain(sorted, pp*l)
-	for _, s1 := range chain {
+// interNode is Algorithm 1's threshold loop: it starts at s1 = P·L and,
+// whenever a z01 placement would exceed node capacity, lowers s1 to the
+// longest z01 sequence — the longest sequence below the failed threshold
+// — and retries. The assignment is left in p.inter. The loop terminates:
+// each retry strictly lowers s1, and once every sequence is inter-zone
+// the z01 pass has nothing to capacity-check.
+func (p *Partitioner) interNode(sorted []seq.Sequence, n, pp, l int, nodeSpeed []float64) (int, error) {
+	s1 := pp * l
+	for iter := 0; iter <= len(sorted); iter++ {
 		if evalInter(&p.inter, sorted, n, pp, l, s1, nodeSpeed) {
-			return &p.inter, s1, nil
+			return s1, nil
 		}
+		s1 = p.inter.z01[0].Len
 	}
-	return nil, 0, fmt.Errorf("inter-node partitioning did not converge")
-}
-
-// interParallel evaluates candidate thresholds speculatively, `workers`
-// per wave, each on its own scratch, and keeps the first success in chain
-// order — the same threshold interSerial converges to, with identical
-// placements, since each evaluation is a pure function of its inputs.
-// The first wave is a single candidate: the initial P·L threshold almost
-// always succeeds, and speculating past it would burn worker-time on
-// evaluations the serial loop never runs. Only once a retry is actually
-// needed do the waves widen to `workers`.
-func (p *Partitioner) interParallel(sorted []seq.Sequence, n, pp, l int, nodeSpeed []float64, workers int) (*interScratch, int, error) {
-	chain := p.thresholdChain(sorted, pp*l)
-	if cap(p.winter) < workers {
-		ws := make([]interScratch, workers)
-		copy(ws, p.winter)
-		p.winter = ws
-	}
-	p.winter = p.winter[:workers]
-	p.waveOK = growB(p.waveOK, workers)
-	for lo := 0; lo < len(chain); {
-		width := workers
-		if lo == 0 {
-			width = 1
-		}
-		hi := min(lo+width, len(chain))
-		if hi-lo == 1 {
-			// One candidate: evaluate inline, no pool round-trip.
-			if evalInter(&p.winter[0], sorted, n, pp, l, chain[lo], nodeSpeed) {
-				return &p.winter[0], chain[lo], nil
-			}
-			lo = hi
-			continue
-		}
-		ok := p.waveOK[:hi-lo]
-		// Scratch is indexed by wave slot, not worker id: the pool hands
-		// slots to workers dynamically, and a worker that picked up two
-		// slots must not clobber the first one's result.
-		_ = runner.ForEach(context.Background(), workers, hi-lo, func(i int) error {
-			ok[i] = evalInter(&p.winter[i], sorted, n, pp, l, chain[lo+i], nodeSpeed)
-			return nil
-		})
-		for i := range ok {
-			if ok[i] {
-				return &p.winter[i], chain[lo+i], nil
-			}
-		}
-		lo = hi
-	}
-	return nil, 0, fmt.Errorf("inter-node partitioning did not converge")
+	return 0, fmt.Errorf("inter-node partitioning did not converge")
 }
 
 // evalInter is one Algorithm 1 evaluation at a fixed threshold s1: it
 // splits the zones, chunks z2 sequences across least-loaded nodes, and
 // greedily places z01 sequences, reporting false as soon as a placement
 // would exceed node capacity. It reads nothing but its arguments and
-// writes nothing but scr, so concurrent calls on distinct scratch are
-// deterministic. sorted must be in descending length order; on success
-// scr.nodeSeqs and scr.inters hold the assignment, valid until the
-// scratch is reused.
+// writes nothing but scr. sorted must be in descending length order; on
+// success scr.nodeSeqs and scr.inters hold the assignment, valid until
+// the scratch is reused.
 func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeSpeed []float64) bool {
 	scr.nodeLoad = growI(scr.nodeLoad, n)
 	nodeLoad := scr.nodeLoad
@@ -490,8 +367,7 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 		idx := argminLoad(nodeLoad, nodeSpeed)
 		if s.Len+nodeLoad[idx] > pp*l {
 			// z01 is sorted descending, so its first element is the
-			// longest; the serial loop's next threshold is exactly the
-			// next chain candidate.
+			// longest below s1: the caller's next threshold.
 			return false
 		}
 		nodeSeqs[idx] = append(nodeSeqs[idx], s)
@@ -505,9 +381,7 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 // rings) and packs local-zone sequences onto the least-loaded devices,
 // iteratively lowering the zone threshold on capacity failure. interShare
 // carries the token loads already imposed by inter-node rings. Working
-// state lives in scr (per-worker under a parallel solve); the node's
-// placement lands in out. It reads only immutable partitioner state
-// (cfg, cluster topology), so distinct nodes solve concurrently.
+// state lives in scr; the node's placement lands in out.
 func (p *Partitioner) intraNode(scr *intraScratch, out *nodeOut, node int, assigned []seq.Sequence, interShare []int) error {
 	c := p.cfg.Cluster
 	P, L := c.GPUsPerNode, p.cfg.CapacityTokens
@@ -622,8 +496,7 @@ func (p *Partitioner) intraNode(scr *intraScratch, out *nodeOut, node int, assig
 }
 
 // ringWeights returns speed-proportional ring weights for a rank set
-// (nil on a healthy cluster, preserving the even 2G-chunk split). Reads
-// only the immutable config, so it is safe from parallel workers.
+// (nil on a healthy cluster, preserving the even 2G-chunk split).
 func (p *Partitioner) ringWeights(ranks []int) []float64 {
 	if p.cfg.Speeds == nil {
 		return nil
@@ -724,12 +597,4 @@ func growF(s []float64, n int) []float64 {
 		return s[:n]
 	}
 	return make([]float64, n)
-}
-
-// growB is growI for bool scratch.
-func growB(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
 }

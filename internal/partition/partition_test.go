@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"zeppelin/internal/cluster"
@@ -238,6 +239,88 @@ func TestDeterministicPlans(t *testing.T) {
 		if t1[i] != t2[i] {
 			t.Fatal("plans must be deterministic")
 		}
+	}
+}
+
+// TestReusedPartitionerMatchesFresh: one Partitioner planning a stream of
+// distinct batches returns, for each, exactly the Result a fresh
+// Partitioner returns — scratch reuse across calls must not leak state.
+// The cells span workloads, cluster shapes, capacity pressure, and a
+// degraded effective-speed view; every cell also plans a batch of
+// capacity-sized sequences, which forces a deep threshold-retry chain.
+func TestReusedPartitionerMatchesFresh(t *testing.T) {
+	type cell struct {
+		name     string
+		spec     cluster.Spec
+		nodes    int
+		capacity int
+		fill     float64 // fraction of aggregate capacity to sample
+		speeds   bool
+	}
+	cells := []cell{
+		{"github-roomy", cluster.ClusterA, 2, 8192, 0.5, false},
+		{"github-tight", cluster.ClusterA, 2, 2048, 0.95, false},
+		{"arxiv-4node", cluster.ClusterA, 4, 4096, 0.9, false},
+		{"clusterC", cluster.ClusterC, 2, 4096, 0.8, false},
+		{"degraded", cluster.ClusterA, 2, 4096, 0.7, true},
+	}
+	for _, cl := range cells {
+		t.Run(cl.name, func(t *testing.T) {
+			c := cluster.MustNew(cl.spec, cl.nodes)
+			cfg := Config{Cluster: c, CapacityTokens: cl.capacity}
+			if cl.speeds {
+				cfg.Speeds = make([]float64, c.World())
+				for i := range cfg.Speeds {
+					cfg.Speeds[i] = 1
+				}
+				cfg.Speeds[1] = 0.4 // one straggler
+			}
+			var batches [][]seq.Sequence
+			for seedv := int64(1); seedv <= 3; seedv++ {
+				rng := rand.New(rand.NewSource(seedv))
+				budget := int(cl.fill * float64(c.World()*cl.capacity))
+				batches = append(batches, workload.GitHub.Batch(budget, rng))
+			}
+			// Fill aggregate capacity exactly with 3N+1 near-equal
+			// distinct lengths: greedy z01 packing cannot hit the exact
+			// fill, so Alg. 1 walks its whole threshold-retry chain.
+			total, k := c.World()*cl.capacity, 3*cl.nodes+1
+			full := make([]seq.Sequence, k)
+			for i := range full {
+				full[i] = seq.Sequence{ID: i, Len: total/k + (k/2-i)*7}
+				total -= full[i].Len
+			}
+			full[k-1].Len += total
+			batches = append(batches, full)
+
+			reused, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, batch := range batches {
+				fresh, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Plan(batch)
+				if err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+				got, err := reused.Plan(batch)
+				if err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+				if err := got.Plan.Validate(batch); err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch %d: reused partitioner's result differs from a fresh one's", b)
+				}
+			}
+			if res, _ := reused.Plan(full); res.S1 >= c.GPUsPerNode*cl.capacity {
+				t.Fatalf("full batch converged at s1 = %d: no threshold retry", res.S1)
+			}
+		})
 	}
 }
 

@@ -19,10 +19,7 @@ func TestRunReturnsContextErrorPromptly(t *testing.T) {
 	eng := New(Options{Workers: 2})
 	jobs := make([]Job, 16)
 	for i := range jobs {
-		// A baseline method, not zeppelin.Full(): internal/zeppelin now
-		// depends on this package (the parallel solve), so importing it
-		// from an in-package test would form a cycle. The method never
-		// runs — the context is already cancelled.
+		// The method never runs — the context is already cancelled.
 		jobs[i] = quickJob(string(rune('a'+i)), int64(i), baselines.TECP{})
 	}
 	rs, err := eng.Run(ctx, jobs)

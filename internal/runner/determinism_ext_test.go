@@ -1,6 +1,5 @@
-// External test package: these tests exercise the engine through
-// zeppelin.Full(), which now depends on runner (the parallel partition
-// solve), so an in-package test importing it would form a cycle.
+// External test package: these tests exercise the engine through the
+// public surface with zeppelin.Full() as the method.
 package runner_test
 
 import (

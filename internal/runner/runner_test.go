@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"zeppelin/internal/baselines"
@@ -120,9 +119,8 @@ func TestErrorPropagation(t *testing.T) {
 
 func TestCacheHits(t *testing.T) {
 	eng := New(Options{Workers: 4})
-	// A baseline method, not zeppelin.Full(): internal/zeppelin now
-	// depends on this package (the parallel solve), so in-package tests
-	// cannot import it; determinism_ext_test.go covers the full method.
+	// A baseline method keeps this cheap; determinism_ext_test.go covers
+	// the full Zeppelin method.
 	same := func(key string) Job { return quickJob(key, 42, baselines.HybridDP{}) }
 	rs, err := eng.Run(context.Background(), []Job{same("a"), same("b"), quickJob("c", 43, baselines.HybridDP{})})
 	if err != nil {
@@ -236,36 +234,9 @@ func TestForEach(t *testing.T) {
 	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "slot 3") {
 		t.Fatalf("ForEach must surface the lowest-index error, got %v", err)
 	}
-}
-
-func TestForEachWorker(t *testing.T) {
-	// Worker ids must stay in [0, workers) and each worker must run at
-	// most one fn at a time — per-worker scratch relies on both.
-	const workers, n = 5, 64
-	busy := make([]atomic.Int32, workers)
-	worker := make([]int, n)
-	if err := ForEachWorker(context.Background(), workers, n, func(w, i int) error {
-		if w < 0 || w >= workers {
-			return fmt.Errorf("worker id %d out of range", w)
-		}
-		if busy[w].Add(1) != 1 {
-			return fmt.Errorf("worker %d ran two indices concurrently", w)
-		}
-		worker[i] = w
-		busy[w].Add(-1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Every index ran exactly once (worker slot recorded).
-	for i, w := range worker {
-		if w < 0 || w >= workers {
-			t.Fatalf("index %d ran on worker %d", i, w)
-		}
-	}
 	// Zero items is a no-op, not a hang.
-	if err := ForEachWorker(context.Background(), 4, 0, func(w, i int) error {
-		t.Fatalf("fn called for empty range (w=%d i=%d)", w, i)
+	if err := ForEach(context.Background(), 4, 0, func(i int) error {
+		t.Fatalf("fn called for empty range (i=%d)", i)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -130,7 +130,6 @@ func (z *Incremental) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Plac
 		Cluster:        env.C,
 		CapacityTokens: env.CapacityTokens,
 		Speeds:         speeds,
-		SolveWorkers:   z.m.SolveWorkers,
 	}, batch)
 	if err != nil {
 		return nil, err

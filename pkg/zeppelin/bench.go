@@ -19,10 +19,6 @@ type BenchOptions struct {
 	// Iters is the planning-stream length per cell; <= 0 selects the
 	// fig15 default, and values below 2 are rejected.
 	Iters int
-	// SolveWorkers fans the full hierarchical solve across a worker
-	// pool; <= 1 keeps the historical single-threaded solve. Plans are
-	// bit-identical at every worker count — only latency changes.
-	SolveWorkers int
 }
 
 // BenchArtifact is a planner fast-path measurement in the shared
@@ -55,7 +51,7 @@ func RunPlannerBench(ctx context.Context, o BenchOptions) (*BenchArtifact, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cell, err := experiments.Fig15Bench(r, iters, o.SolveWorkers)
+		cell, err := experiments.Fig15Bench(r, iters)
 		if err != nil {
 			return nil, err
 		}

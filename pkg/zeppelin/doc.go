@@ -9,13 +9,10 @@
 //   - Planner / PlanRequest / PlanResponse — one-shot partition+remap
 //     planning of a sampled batch, with a simulated-iteration readout.
 //     NewPlanner takes functional options; WithIncremental backs it by
-//     the stateful incremental re-planner (bit-identical in exact mode),
-//     and WithParallelSolve fans each partition solve across a worker
-//     pool (zeppelind's -solve-workers flag). Plans are bit-identical
-//     at every worker count; responses name the active path in
-//     PlanResponse.SolveMode ("serial" / "parallel-N"). The incremental
-//     patch path is allocation-free in its steady state — the property
-//     BenchmarkFig15PlanIncrementalReuse pins at 0 allocs/op in CI.
+//     the stateful incremental re-planner in exact mode, which serves
+//     exact repeats from its plan cache and never patches (PlanMode is
+//     "full" or "cached"), and WithPlanCache shares a process-wide plan
+//     cache tier. Plans are bit-identical under every option.
 //   - Campaign / CampaignRequest / CampaignEvent — iterator-style
 //     streaming of a multi-iteration campaign: NewCampaign resolves the
 //     request, Start binds a context, and each Next call simulates
@@ -50,8 +47,7 @@
 //     grid, with JSON and text artifact writers.
 //   - RunPlannerBench — the fig15 planner fast-path measurement in the
 //     shared benchfmt artifact schema, sweeping world sizes up to the
-//     8192-rank tail of the Fig. 15 grid (BenchOptions.SolveWorkers
-//     fans the full solve to keep large worlds routine).
+//     8192-rank tail of the Fig. 15 grid.
 //   - Version / APIVersion — build and API-revision identification.
 //
 // Every entry point takes a context.Context and honors cancellation:

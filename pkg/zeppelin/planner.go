@@ -2,7 +2,6 @@ package zeppelin
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"zeppelin/internal/partition"
@@ -28,37 +27,18 @@ type Planner struct {
 	// call-owned exact-mode planner — concurrent requests never
 	// serialize, and responses stay bit-identical at every cache state.
 	cache *PlanCache
-	// solveWorkers fans each Zeppelin partition solve across a worker
-	// pool (0 = option unset, keep the serial default). Plans are
-	// bit-identical at every worker count.
-	solveWorkers int
 }
 
 // PlannerOption configures NewPlanner.
 type PlannerOption func(*Planner)
 
 // WithIncremental backs the planner's Zeppelin plans by the stateful
-// incremental re-planner: exact-mode caching and delta patching across
-// Plan calls, bit-identical plans, PlanMode reported in responses.
+// incremental re-planner in exact mode: a repeat of an earlier batch is
+// served from its plan cache instead of re-solved. Plans are
+// bit-identical to the stateless planner's, and responses report
+// PlanMode ("full" or "cached"). Exact mode never delta-patches.
 func WithIncremental() PlannerOption {
 	return func(p *Planner) { p.incremental = true }
-}
-
-// WithParallelSolve fans every Zeppelin partition solve this planner
-// runs across a pool of workers: the Alg. 1 threshold retries are
-// evaluated speculatively and the per-node Alg. 2 solves run
-// concurrently. Plans are bit-identical at every worker count — the
-// option trades CPU for planning latency, never placement — and
-// responses report the active mode in PlanResponse.SolveMode ("serial"
-// or "parallel-N"). workers <= 0 leaves the planner on its serial
-// default with no mode reported, so the option composes with
-// flag-driven wiring (a zero flag value is a no-op).
-func WithParallelSolve(workers int) PlannerOption {
-	return func(p *Planner) {
-		if workers > 0 {
-			p.solveWorkers = workers
-		}
-	}
 }
 
 // WithPlanCache shares a process-wide plan cache tier across this
@@ -92,10 +72,6 @@ func (p *Planner) method(req PlanRequest) (trainer.Method, *zep.Incremental, err
 	if !ok {
 		return m, nil, nil
 	}
-	// The solve fan-out rides the method value: every path below —
-	// stateless, cache-backed, incremental — plans through this zm, so
-	// one assignment covers them all. Bit-identical plans either way.
-	zm.SolveWorkers = p.solveWorkers
 	if !p.incremental {
 		if p.cache != nil {
 			// Call-owned exact-mode planner over the shared tier: probes
@@ -121,20 +97,6 @@ func (p *Planner) method(req PlanRequest) (trainer.Method, *zep.Incremental, err
 // planCarrier is implemented by placements that expose their partition
 // plan (the Zeppelin planners do; even-split baselines have none).
 type planCarrier interface{ Plan() *seq.Plan }
-
-// solveMode names the planner's partition-solve path for the wire:
-// "serial" / "parallel-N" once WithParallelSolve has pinned a worker
-// count, empty otherwise.
-func (p *Planner) solveMode() string {
-	switch {
-	case p.solveWorkers <= 0:
-		return ""
-	case p.solveWorkers == 1:
-		return "serial"
-	default:
-		return fmt.Sprintf("parallel-%d", p.solveWorkers)
-	}
-}
 
 // remapCarrier is implemented by placements that expose their Eq. 2
 // remapping solution.
@@ -193,10 +155,6 @@ func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, err
 		Tokens: seq.TotalLen(batch),
 	}
 	if pc, ok := pl.(planCarrier); ok {
-		// A partition plan exists, so the hierarchical solve ran: report
-		// which solve path produced it (empty when WithParallelSolve was
-		// never configured, preserving the historical wire shape).
-		resp.SolveMode = p.solveMode()
 		plan := pc.Plan()
 		resp.TokensPerRank = plan.TokensPerRank()
 		resp.Imbalance = partition.LoadImbalance(plan, nil)

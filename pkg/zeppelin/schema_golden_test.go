@@ -40,7 +40,6 @@ func canonicalFixtures() map[string]any {
 			RemapTransfers:   5,
 			RemapInterTokens: 1024,
 			PlanMode:         "patched",
-			SolveMode:        "parallel-4",
 			IterTimeSec:      1.25,
 			TokensPerSec:     52428.8,
 			HostOverheadSec:  0.0035,

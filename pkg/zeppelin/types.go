@@ -270,15 +270,10 @@ type PlanResponse struct {
 	// solution (Zeppelin with the remap layer only).
 	RemapTransfers   int `json:"remap_transfers,omitempty"`
 	RemapInterTokens int `json:"remap_inter_tokens,omitempty"`
-	// PlanMode reports how an incremental planner produced the plan:
-	// "full", "patched", or "cached". Empty for stateless planners.
+	// PlanMode reports how a WithIncremental planner produced the plan:
+	// "full" (solved) or "cached" (an exact repeat served from its plan
+	// cache). Empty for stateless planners.
 	PlanMode string `json:"plan_mode,omitempty"`
-	// SolveMode reports the partition-solve path of a planner configured
-	// with WithParallelSolve: "serial" (one worker) or "parallel-N" (the
-	// solve fanned across N workers). Empty when the option is unset and
-	// for methods without a partition plan. Plans are bit-identical at
-	// every worker count, so SolveMode never implies a placement change.
-	SolveMode string `json:"solve_mode,omitempty"`
 	// IterTimeSec and TokensPerSec are the simulated end-to-end
 	// iteration readout for the planned batch.
 	IterTimeSec  float64 `json:"iter_time_sec"`

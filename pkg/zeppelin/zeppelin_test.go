@@ -156,7 +156,8 @@ func TestPlanResponseShape(t *testing.T) {
 }
 
 // TestIncrementalPlannerReportsMode: repeated plans through an
-// incremental planner come back bit-identical and report cache reuse.
+// incremental planner come back bit-identical and report cache reuse; a
+// different batch is solved in full, never patched.
 func TestIncrementalPlannerReportsMode(t *testing.T) {
 	p := NewPlanner(WithIncremental())
 	first, err := p.Plan(context.Background(), PlanRequest{})
@@ -179,43 +180,12 @@ func TestIncrementalPlannerReportsMode(t *testing.T) {
 		bytes.ReplaceAll(b, []byte(`"plan_mode":"cached"`), nil)) {
 		t.Fatal("cached plan differs from the full solve")
 	}
-}
-
-// TestParallelSolvePlansBitIdentical: WithParallelSolve changes only
-// the solve path (and the reported SolveMode) — every placement fact
-// and simulated readout matches the serial planner bit for bit, for
-// every worker count.
-func TestParallelSolvePlansBitIdentical(t *testing.T) {
-	req := PlanRequest{Seed: 7}
-	base, err := NewPlanner().Plan(context.Background(), req)
+	third, err := p.Plan(context.Background(), PlanRequest{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.SolveMode != "" {
-		t.Fatalf("default planner reported solve mode %q", base.SolveMode)
-	}
-	want, _ := json.Marshal(base)
-	for workers, mode := range map[int]string{1: "serial", 4: "parallel-4", 16: "parallel-16"} {
-		resp, err := NewPlanner(WithParallelSolve(workers)).Plan(context.Background(), req)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if resp.SolveMode != mode {
-			t.Fatalf("workers=%d: solve mode = %q, want %q", workers, resp.SolveMode, mode)
-		}
-		got, _ := json.Marshal(resp)
-		got = bytes.ReplaceAll(got, []byte(`,"solve_mode":"`+mode+`"`), nil)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: plan differs from the serial solve:\n%s\nvs\n%s", workers, got, want)
-		}
-	}
-	// A method without a partition plan has no solve to report.
-	tecp, err := NewPlanner(WithParallelSolve(4)).Plan(context.Background(), PlanRequest{Method: "tecp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tecp.SolveMode != "" {
-		t.Fatalf("planless method reported solve mode %q", tecp.SolveMode)
+	if third.PlanMode != "full" {
+		t.Fatalf("new-seed plan mode = %q, want full", third.PlanMode)
 	}
 }
 
