@@ -523,32 +523,20 @@ func (ps *pickScratch) leastLoaded(load []int, k int, speed []float64) []int {
 		idx[0] = argminLoad(load, speed)
 		return idx[:1]
 	}
-	for i := range idx {
-		idx[i] = i
-	}
-	if speed == nil {
-		// Selection sort of the first k: loads are tiny (#nodes or #devices).
-		for i := 0; i < k; i++ {
-			best := i
-			for j := i + 1; j < n; j++ {
-				if load[idx[j]] < load[idx[best]] {
-					best = j
-				}
-			}
-			idx[i], idx[best] = idx[best], idx[i]
-		}
-		return idx[:k]
-	}
-	// Speed-aware: precompute effective time loads once instead of
-	// dividing inside the O(k·n) comparison loop. The explicit index
-	// tie-break matters here: selection swaps perturb idx order, so
-	// strict-smaller alone would resolve equal effective loads by
-	// position, not by rank index.
+	// Precompute effective loads once instead of dividing inside the
+	// O(k·n) comparison loop. The explicit index tie-break matters:
+	// selection swaps perturb idx order, so strict-smaller alone would
+	// resolve equal loads by position, not by index.
 	ps.eff = growF(ps.eff, n)
 	eff := ps.eff
-	for i := 0; i < n; i++ {
-		eff[i] = float64(load[i]) / speed[i]
+	for i := range idx {
+		idx[i] = i
+		eff[i] = float64(load[i])
+		if speed != nil {
+			eff[i] /= speed[i]
+		}
 	}
+	// Selection sort of the first k: loads are tiny (#nodes or #devices).
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < n; j++ {

@@ -365,6 +365,12 @@ func TestLeastLoaded(t *testing.T) {
 	if got[0] != 0 || got[1] != 3 {
 		t.Fatalf("speed-weighted leastLoaded = %v, want [0 3]", got)
 	}
+	// Equal raw loads resolve by index, even after selection swaps have
+	// reordered the candidates.
+	got = ps.leastLoaded([]int{1, 0, 1, 0}, 4, nil)
+	if want := []int{1, 3, 0, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tied leastLoaded = %v, want %v", got, want)
+	}
 	// k == 1 takes the argmin early exit.
 	if one := ps.leastLoaded([]int{4, 2, 9}, 1, nil); len(one) != 1 || one[0] != 1 {
 		t.Fatalf("leastLoaded k=1 = %v, want [1]", one)
