@@ -80,7 +80,6 @@ type Partitioner struct {
 
 	inter interScratch // Alg. 1 scratch
 	intra intraScratch // Alg. 2 scratch
-	out   []nodeOut    // per-node Alg. 2 results, merged in node order
 }
 
 // New validates the configuration.
@@ -137,22 +136,16 @@ type interScratch struct {
 	share    []int
 }
 
-// intraScratch is one Alg. 2 working context (retry-loop state that does
-// not outlive the node's solve); results land in a nodeOut.
+// intraScratch is the Alg. 2 working context: retry-loop state that does
+// not outlive one node's solve.
 type intraScratch struct {
 	pickScratch
 	devLoad  []int
 	devSpeed []float64
 	z0, z1   []seq.Sequence
 	share    []int
-}
-
-// nodeOut is one node's Alg. 2 result, merged into the plan in node
-// order.
-type nodeOut struct {
-	s0    int
-	local [][]seq.Sequence
-	rings []seq.Ring
+	local    [][]seq.Sequence
+	rings    []seq.Ring
 }
 
 // Plan partitions a batch across the cluster. It errors if the batch
@@ -209,20 +202,12 @@ func (p *Partitioner) Plan(batch []seq.Sequence) (*Result, error) {
 		}
 	}
 
-	// Per-node Alg. 2 solves, merged below in node order.
-	out := p.nodeOutBuf(N, P)
 	for n := 0; n < N; n++ {
-		if err := p.intraNode(&p.intra, &out[n], n, nodeSeqs[n], interShare[n]); err != nil {
+		s0, err := p.intraNode(plan, n, nodeSeqs[n], interShare[n])
+		if err != nil {
 			return nil, fmt.Errorf("partition: node %d: %w", n, err)
 		}
-	}
-	for n := 0; n < N; n++ {
-		ranks := c.RanksOfNode(n)
-		for d := 0; d < P; d++ {
-			plan.Local[ranks[d]] = append(plan.Local[ranks[d]], out[n].local[d]...)
-		}
-		plan.Rings = append(plan.Rings, out[n].rings...)
-		res.S0[n] = out[n].s0
+		res.S0[n] = s0
 	}
 	return res, nil
 }
@@ -260,26 +245,6 @@ func (p *Partitioner) interShareBuf(n, dev int) [][]int {
 		}
 	}
 	return p.interShare
-}
-
-// nodeOutBuf sizes the per-node result buffers, truncating prior contents.
-func (p *Partitioner) nodeOutBuf(n, dev int) []nodeOut {
-	if cap(p.out) < n {
-		p.out = make([]nodeOut, n)
-	}
-	p.out = p.out[:n]
-	for i := range p.out {
-		o := &p.out[i]
-		if cap(o.local) < dev {
-			o.local = make([][]seq.Sequence, dev)
-		}
-		o.local = o.local[:dev]
-		for d := range o.local {
-			o.local[d] = o.local[d][:0]
-		}
-		o.rings = o.rings[:0]
-	}
-	return p.out
 }
 
 // interNode is Algorithm 1's threshold loop: it starts at s1 = P·L and,
@@ -380,9 +345,11 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 // sequences into quadratic-cost-balanced fragments (forming intra-node
 // rings) and packs local-zone sequences onto the least-loaded devices,
 // iteratively lowering the zone threshold on capacity failure. interShare
-// carries the token loads already imposed by inter-node rings. Working
-// state lives in scr; the node's placement lands in out.
-func (p *Partitioner) intraNode(scr *intraScratch, out *nodeOut, node int, assigned []seq.Sequence, interShare []int) error {
+// carries the token loads already imposed by inter-node rings. The
+// node's placement is appended to plan; the converged threshold s0 is
+// returned.
+func (p *Partitioner) intraNode(plan *seq.Plan, node int, assigned []seq.Sequence, interShare []int) (int, error) {
+	scr := &p.intra
 	c := p.cfg.Cluster
 	P, L := c.GPUsPerNode, p.cfg.CapacityTokens
 	ranks := c.RanksOfNode(node)
@@ -395,18 +362,22 @@ func (p *Partitioner) intraNode(scr *intraScratch, out *nodeOut, node int, assig
 		}
 	}
 	scr.devLoad = growI(scr.devLoad, P)
+	if cap(scr.local) < P {
+		scr.local = make([][]seq.Sequence, P)
+	}
+	scr.local = scr.local[:P]
 	s0 := L
 	for iter := 0; ; iter++ {
 		if iter > len(assigned)+2 {
-			return fmt.Errorf("intra-node partitioning did not converge")
+			return 0, fmt.Errorf("intra-node partitioning did not converge")
 		}
 		devLoad := scr.devLoad
 		copy(devLoad, interShare)
-		local := out.local
+		local := scr.local
 		for i := range local {
 			local[i] = local[i][:0]
 		}
-		rings := out.rings[:0]
+		rings := scr.rings[:0]
 
 		z0, z1 := scr.z0[:0], scr.z1[:0]
 		for _, s := range assigned { // assigned preserves descending order
@@ -475,7 +446,7 @@ func (p *Partitioner) intraNode(scr *intraScratch, out *nodeOut, node int, assig
 				rings = append(rings, ring)
 			}
 		}
-		out.rings = rings
+		scr.rings = rings
 		retry := false
 		for _, s := range z0 {
 			idx := argminLoad(devLoad, devSpeed)
@@ -488,9 +459,11 @@ func (p *Partitioner) intraNode(scr *intraScratch, out *nodeOut, node int, assig
 			devLoad[idx] += s.Len
 		}
 		if !retry {
-			out.local = local
-			out.s0 = s0
-			return nil
+			for d := 0; d < P; d++ {
+				plan.Local[ranks[d]] = append(plan.Local[ranks[d]], local[d]...)
+			}
+			plan.Rings = append(plan.Rings, rings...)
+			return s0, nil
 		}
 	}
 }
