@@ -324,6 +324,40 @@ func TestReusedPartitionerMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRetryPressurePlansValidate fills the aggregate capacity of two
+// nodes exactly with 17 near-equal sequences; an odd count cannot split
+// evenly over the nodes, so Alg. 1 walks a long threshold-retry chain. The
+// plan must validate, and a reused Partitioner must return a fresh one's
+// Result on it.
+func TestRetryPressurePlansValidate(t *testing.T) {
+	const total, k = 16 * 1024, 17
+	var batch []seq.Sequence
+	for i := 0; i < k; i++ {
+		batch = append(batch, seq.Sequence{ID: i, Len: total / k})
+	}
+	batch[k-1].Len += total % k
+	want, err := newPart(t, cluster.ClusterA, 2, 1024).Plan(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := newPart(t, cluster.ClusterA, 2, 1024)
+	for pass := 0; pass < 2; pass++ {
+		got, err := reused.Plan(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Plan.Validate(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: reused result differs from a fresh one's under retry pressure", pass)
+		}
+	}
+	if want.S1 >= 8*1024 {
+		t.Fatalf("converged at s1 = %d: no threshold retry", want.S1)
+	}
+}
+
 // Property-style test over all datasets, scales, and seeds: plans always
 // validate (token conservation, ring structure) and respect capacity.
 func TestPropertyPlansValidateAcrossWorkloads(t *testing.T) {

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"zeppelin/internal/baselines"
 	"zeppelin/internal/cluster"
@@ -234,11 +236,36 @@ func TestForEach(t *testing.T) {
 	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "slot 3") {
 		t.Fatalf("ForEach must surface the lowest-index error, got %v", err)
 	}
-	// Zero items is a no-op, not a hang.
-	if err := ForEach(context.Background(), 4, 0, func(i int) error {
-		t.Fatalf("fn called for empty range (i=%d)", i)
+}
+
+// TestForEachZeroItems: an empty range is a no-op that returns at once,
+// and a non-empty one runs every index exactly once.
+func TestForEachZeroItems(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- ForEach(context.Background(), 4, 0, func(i int) error {
+			return fmt.Errorf("fn called for empty range (i=%d)", i)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ForEach over zero items did not return")
+	}
+	const n = 64
+	calls := make([]atomic.Int32, n)
+	if err := ForEach(context.Background(), 5, n, func(i int) error {
+		calls[i].Add(1)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
 	}
 }
