@@ -293,26 +293,22 @@ func BenchmarkPartitionerPlan(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Fig. 15 planner fast path: planning latency only (no simulation), at
-// the 256-rank sweep point, over the same churning stream the fig15
-// experiment measures. The incremental variant's ns/op and allocs/op
-// against the full solve are the headline numbers the CI bench gate
-// tracks — the fast path must stay ≥2x ahead at this scale.
+// Fig. 15 full solve: planning latency only (no simulation), at the
+// 256- and 1024-rank sweep points, over the same churning stream the
+// fig15 experiment measures. Their ns/op and allocs/op are the planner
+// numbers the CI bench gate tracks.
 // ---------------------------------------------------------------------
 
 // fig15BenchRanks is the gated sweep point.
 const fig15BenchRanks = 256
 
 // fig15BenchWarm sizes the warmup prefix: one stretch of stream long
-// enough to leave either planner in steady state (scratch buffers grown,
-// the incremental planner holding a patch base) before the timer starts.
-// Both benchmarks then measure per-iteration *re-planning* — the
+// enough to leave the solver's scratch buffers grown before the timer
+// starts, so the benchmarks measure per-iteration *re-planning* — the
 // campaign hot-path quantity. The measured window walks distinct
 // successive batches up to fig15BenchStreamCap and then cycles: the cap
 // bounds setup cost at O(cap) instead of O(b.N) under time-based
-// -benchtime, and the cycle boundary's accumulated delta exceeds the
-// patch admission bound, so cycling costs one honest full solve per lap
-// rather than handing the incremental path exact cache replays.
+// -benchtime.
 const (
 	fig15BenchWarm      = 8
 	fig15BenchStreamCap = 512
@@ -390,84 +386,16 @@ func BenchmarkFig15PlanSessions(b *testing.B) {
 	}
 }
 
-func BenchmarkFig15PlanIncremental(b *testing.B) {
-	stream, at := fig15BenchStream(fig15BenchRanks, b.N)
-	cfg := experiments.Fig15PlanConfig(fig15BenchRanks)
-	p := partition.NewIncremental(partition.IncrementalConfig{MaxDeltaFrac: experiments.Fig15MaxDeltaFrac})
-	for i := 0; i < fig15BenchWarm; i++ {
-		if _, _, err := p.Plan(cfg, stream[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	warm := p.Counters()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Plan(cfg, stream[at(i)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// Mode split of the measured window only (warmup excluded).
-	c := p.Counters()
-	if total := c.Plans() - warm.Plans(); total > 0 {
-		b.ReportMetric(float64(c.Patched-warm.Patched)/float64(total), "patched-frac")
-	}
-}
-
-// BenchmarkFig15PlanIncrementalReuse is the steady-state allocation
-// guarantee: with ReusePlans the warm patch path must report 0 allocs/op
-// under -benchmem. The measured window bounces through the stream
-// (…510, 511, 510, 509…) instead of wrapping, so every step is a small
-// adjacent-batch delta and no lap boundary ever forces an allocating
-// full solve; MaxPatchRun is lifted for the same reason. The pinned
-// assertion lives in internal/partition's TestIncrementalPatchZeroAlloc
-// — this benchmark reports the number CI tracks.
-func BenchmarkFig15PlanIncrementalReuse(b *testing.B) {
-	stream, _ := fig15BenchStream(fig15BenchRanks, fig15BenchStreamCap)
-	cfg := experiments.Fig15PlanConfig(fig15BenchRanks)
-	p := partition.NewIncremental(partition.IncrementalConfig{
-		MaxDeltaFrac:      experiments.Fig15MaxDeltaFrac,
-		MaxImbalanceDrift: 0.5,
-		MaxPatchRun:       1 << 30,
-		ReusePlans:        true,
-	})
-	bounce := func(i int) int {
-		span := len(stream) - fig15BenchWarm - 1
-		if k := i % (2 * span); k < span {
-			return fig15BenchWarm + k
-		} else {
-			return fig15BenchWarm + 2*span - k
-		}
-	}
-	for i := 0; i < fig15BenchWarm; i++ {
-		if _, _, err := p.Plan(cfg, stream[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	warm := p.Counters()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Plan(cfg, stream[bounce(i)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	c := p.Counters()
-	if total := c.Plans() - warm.Plans(); total > 0 {
-		b.ReportMetric(float64(c.Patched-warm.Patched)/float64(total), "patched-frac")
-	}
-}
-
 // BenchmarkFig15ScalingSweep regenerates the whole fig15 experiment (all
-// world sizes, both paths) — the end-to-end cost of the scaling figure.
+// world sizes) — the end-to-end cost of the scaling figure — and reports
+// the full solve's p50 at the largest world.
 func BenchmarkFig15ScalingSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig15(quick)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(experiments.Fig15ScalingSpeedup(res), "speedup-8192-ranks-x")
+		b.ReportMetric(res.Cells[len(res.Cells)-1].Full.P50Micros, "full-p50-micros-8192-ranks")
 	}
 }
 

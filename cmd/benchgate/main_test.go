@@ -102,8 +102,6 @@ func TestDefaultGateCoversPlannerStack(t *testing.T) {
 	re := regexp.MustCompile(DefaultGate)
 	gated := []string{
 		"BenchmarkFig15PlanFull",
-		"BenchmarkFig15PlanIncremental",
-		"BenchmarkFig15PlanIncrementalReuse",
 		"BenchmarkFig15PlanFull1024",
 		"BenchmarkFig15PlanSessions",
 		"BenchmarkPartitionerPlan",

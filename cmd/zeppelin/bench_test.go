@@ -46,19 +46,18 @@ func TestBenchCmdEmitsBenchfmtSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Source != "zeppelin bench" || len(art.Results) != 2 {
+	if art.Source != "zeppelin bench" || len(art.Results) != 1 {
 		t.Fatalf("artifact = %+v", art)
 	}
 	full := art.Get("BenchmarkFig15PlanFull/ranks=64")
-	inc := art.Get("BenchmarkFig15PlanIncremental/ranks=64")
-	if full == nil || inc == nil {
-		t.Fatalf("missing plan results: %+v", art.Results)
+	if full == nil {
+		t.Fatalf("missing plan result: %+v", art.Results)
 	}
-	if full.NsPerOp <= 0 || inc.NsPerOp <= 0 {
-		t.Fatalf("latencies not measured: full=%v inc=%v", full.NsPerOp, inc.NsPerOp)
+	if full.NsPerOp <= 0 {
+		t.Fatalf("latency not measured: full=%v", full.NsPerOp)
 	}
-	if inc.Metrics["max-cost-ratio"] <= 0 {
-		t.Fatalf("incremental result missing cost ratio: %+v", inc.Metrics)
+	if full.Metrics["p95-micros"] <= 0 {
+		t.Fatalf("full result missing p95: %+v", full.Metrics)
 	}
 }
 
@@ -73,10 +72,10 @@ func TestBenchCmdTextModeParsesAsBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Results) != 2 {
-		t.Fatalf("parsed %d results from text mode, want 2", len(parsed.Results))
+	if len(parsed.Results) != 1 {
+		t.Fatalf("parsed %d results from text mode, want 1", len(parsed.Results))
 	}
-	if parsed.Get("BenchmarkFig15PlanIncremental/ranks=64") == nil {
+	if parsed.Get("BenchmarkFig15PlanFull/ranks=64") == nil {
 		t.Fatalf("text mode lines not benchgate-parseable: %+v", parsed.Results)
 	}
 }

@@ -39,9 +39,10 @@
 // set. The search is deterministic: grid seeding plus a seeded
 // mutation/selection loop, bit-identical at every -workers count.
 //
-// The bench subcommand measures the planner fast path in-process (the
-// fig15 machinery: full solve vs incremental re-planning over a churning
-// stream) and emits results in the shared benchfmt JSON schema — the
+// The bench subcommand measures the full partition solve in-process
+// (the fig15 machinery: plan latency and allocations over a churning
+// stream, one BenchmarkFig15PlanFull/ranks=N entry per world size) and
+// emits results in the shared benchfmt JSON schema — the
 // same shape as the CI bench job's BENCH_*.json artifact, so the same
 // tooling reads both (the measurements themselves differ: CI aggregates
 // go-test samples, bench reports per-rank-count p50s).
@@ -180,6 +181,8 @@ func usage() {
        zeppelin -version
 
 experiments: %s
+                (fig15: full-solve plan latency p50/p95 and allocations
+                per plan, 64 to 8192 ranks)
 campaign flags: -iters N  -arrival steady|poisson|bursty|drift|replay
                 -dataset NAME  -drift a,b,c  -policy always|never|threshold|periodic
                 -threshold X  -every N  -replan-cost SECONDS (>= 0)
@@ -201,7 +204,8 @@ tune flags:     -space GRAMMAR (key=value dims; a|b sets, lo:hi intervals;
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
                 -faults)  -json
 bench flags:    -ranks 64,256 (world sizes, multiples of 8)  -iters N
-                -json (benchfmt artifact, the BENCH_*.json schema)
+                -json (benchfmt artifact, the BENCH_*.json schema);
+                one BenchmarkFig15PlanFull/ranks=N full-solve entry per size
 replay flags:   -iters N  -seed N  -flip iter=N:decision=replan|reuse
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
                 -policy, -threshold, -every, -replan-cost, -faults)  -json
@@ -243,7 +247,7 @@ func experimentCmd(w io.Writer, name string, opts zeppelin.Options, jsonOut bool
 // bench subcommand
 // ---------------------------------------------------------------------
 
-// benchCmd measures the planner fast path through the public API and
+// benchCmd measures the full partition solve through the public API and
 // emits results in the shared benchfmt schema. Text mode prints
 // go-test-style benchmark lines, which benchgate can also parse.
 func benchCmd(w io.Writer, args []string, jsonOut bool) error {
@@ -416,7 +420,7 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 	autoscaleSpec := fs.String("autoscale", "",
 		"closed-loop autoscaler: \"on\" or key=val,... (min|max|up-util|down-util|step|cooldown); empty disables")
 	incremental := fs.Bool("incremental", false,
-		"plan Zeppelin through the incremental planner (exact mode: cached plans are bit-identical, so results match the stateless planner)")
+		"plan Zeppelin through the incremental planner (cached plans are bit-identical, so results match the stateless planner)")
 	serveSpec := fs.String("serve", "",
 		"serving scenario (clients=N,arrival=...,rate=...,slo=...); replaces the arrival/policy/faults cell with a request stream")
 	subJSON := fs.Bool("json", false, "emit the campaign artifact as JSON")

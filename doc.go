@@ -66,13 +66,11 @@
 //   - internal/flow       — max-flow / min-cost-flow solvers
 //
 //   - internal/partition  — hierarchical sequence partitioner (Alg. 1 + 2)
-//     plus the incremental re-planner: a keyed plan cache with exact
-//     reuse and, under a configured tolerance, delta patching of the
-//     previous plan (departures cut, arrivals greedily re-placed) with
-//     imbalance-drift self-regulation and full-solve fallback on any
-//     health or capacity change; SharedCache adds the process-wide
-//     tier behind it — a mutex-guarded LRU of full solves only (never
-//     patched plans), shared across planners with hit/miss counting
+//     plus the incremental re-planner: an exact-key plan cache that
+//     serves a batch repeated under the same cluster view and
+//     full-solves everything else; SharedCache adds the process-wide
+//     tier behind it — the same LRU of full solves behind a mutex,
+//     shared across planners with hit/miss counting
 //
 //   - internal/attention  — three-queue ring attention engine
 //
@@ -84,9 +82,8 @@
 //
 //   - internal/zeppelin   — the assembled system (trainer.Method); its
 //     Incremental front-end plans through the incremental re-planner and
-//     a keyed cache of Eq. 2 remapping solutions (exact mode is
-//     bit-identical to the stateless method, the property campaigns rely
-//     on)
+//     a keyed cache of Eq. 2 remapping solutions (bit-identical to the
+//     stateless method, the property campaigns rely on)
 //
 //   - internal/trainer    — end-to-end iteration simulation
 //
@@ -131,8 +128,8 @@
 //
 //   - internal/experiments— regenerators for every paper table and figure,
 //     plus the fig13 streaming-campaign and fig14 fault comparisons,
-//     the fig15 planner fast-path scaling sweep (64 → 1024 ranks, plan
-//     latency and allocations, full vs incremental), and the fig16
+//     the fig15 full-solve scaling sweep (64 → 8192 ranks, plan latency
+//     p50/p95 and allocations per plan), and the fig16
 //     serving-scenario routing comparison (bursty multi-client stream,
 //     balance vs KV-affinity, per-class SLO tables)
 //

@@ -50,7 +50,7 @@ type ShapeIndependent interface {
 }
 
 // Replanner is implemented by stateful methods whose planner carries
-// state across iterations — plan caches, incremental patch bases
+// state across iterations — plan and remap caches
 // (zeppelin.Incremental opts in). The campaign resets that state at Run
 // start so a reused method instance produces the same stream run over
 // run; sharing one Replanner instance across concurrent grid cells is a
@@ -60,9 +60,9 @@ type Replanner interface {
 }
 
 // PlanModeReporter is implemented by methods whose planner can name the
-// fast path its most recent Plan call took ("full", "patched", "cached",
-// "shared"). The campaign loop uses it to emit placement decision
-// records; zeppelin.Incremental opts in.
+// path its most recent Plan call took ("full", "cached", "shared"). The
+// campaign loop uses it to emit placement decision records;
+// zeppelin.Incremental opts in.
 type PlanModeReporter interface {
 	LastPlanMode() string
 }
@@ -565,7 +565,6 @@ func (s *Stream) step() (IterRecord, error) {
 				c := pc.PlannerCounters()
 				drec.Alternatives = []decision.Alternative{
 					{Choice: "full", Score: float64(c.Full), Chosen: mode == "full"},
-					{Choice: "patched", Score: float64(c.Patched), Chosen: mode == "patched"},
 					{Choice: "cached", Score: float64(c.Cached), Chosen: mode == "cached"},
 					{Choice: "shared", Score: float64(c.Shared), Chosen: mode == "shared"},
 				}

@@ -83,7 +83,7 @@ func TestDecisionRecordsMatchStream(t *testing.T) {
 	if recs[0].Kind != decision.KindReplan || !recs[0].Forced || recs[0].Chosen != "replan" {
 		t.Fatalf("iteration 0 must be a forced replan, got %+v", recs[0])
 	}
-	modes := map[string]bool{"full": true, "patched": true, "cached": true, "shared": true}
+	modes := map[string]bool{"full": true, "cached": true, "shared": true}
 	for _, r := range recs {
 		if r.Flipped {
 			t.Fatalf("factual run recorded a flip: %+v", r)

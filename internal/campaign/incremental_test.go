@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"zeppelin/internal/faults"
-	"zeppelin/internal/partition"
 	"zeppelin/internal/workload"
 	"zeppelin/internal/zeppelin"
 )
@@ -75,7 +74,7 @@ func TestIncrementalCampaignStreamIdentityUnderDrift(t *testing.T) {
 	if reportJSON(t, got) != reportJSON(t, want) {
 		t.Fatal("incremental campaign stream differs under drift")
 	}
-	if c := inc.PlannerCounters(); c.Patched != 0 || c.Full+c.Cached != iters || c.Full == 0 {
+	if c := inc.PlannerCounters(); c.Full+c.Cached != iters || c.Full == 0 {
 		t.Fatalf("drift stream counters = %+v, want full/cached only", c)
 	}
 }
@@ -122,18 +121,23 @@ func TestIncrementalCampaignFaultForcesFullSolve(t *testing.T) {
 
 // TestIncrementalCampaignRunTwiceDeterministic: the campaign resets
 // stateful planners at Run start (Replanner), so reusing one method
-// instance across runs yields identical reports.
+// instance across runs yields identical reports — the second run starts
+// from a cold cache, not from the first run's plans.
 func TestIncrementalCampaignRunTwiceDeterministic(t *testing.T) {
 	const iters = 8
-	inc := zeppelin.NewIncremental(zeppelin.Full(), partition.IncrementalConfig{MaxDeltaFrac: 0.3})
+	inc := zeppelin.FullIncremental()
 	cfg := Config{
 		Trainer: testCell(11), Method: inc, Iters: iters,
 		Arrival: driftArrival(iters), Policy: Threshold{},
 	}
 	a := runCampaign(t, cfg)
+	first := inc.PlannerCounters()
 	b := runCampaign(t, cfg)
 	if reportJSON(t, a) != reportJSON(t, b) {
 		t.Fatal("incremental campaign is not deterministic across runs")
+	}
+	if second := inc.PlannerCounters(); second != first {
+		t.Fatalf("second run counters %+v, want %+v (Reset must drop the cache)", second, first)
 	}
 }
 

@@ -34,8 +34,8 @@ const (
 	// there was no choice to make.
 	KindAdmission Kind = "admission"
 	// KindPlacement is the incremental planner's fast-path outcome for
-	// the iteration's plan: full solve, patched previous plan, local
-	// cache hit, or shared-tier hit.
+	// the iteration's plan: full solve, local cache hit, or shared-tier
+	// hit.
 	KindPlacement Kind = "placement"
 	// KindScale is the autoscaler's end-of-iteration verdict: grow,
 	// shrink, or hold the active world for the next iteration, driven by
@@ -92,7 +92,7 @@ type Record struct {
 	// SinceReplan counts iterations since the partitioner last ran.
 	SinceReplan int `json:"since_replan,omitempty"`
 	// PlanMode is the incremental planner's fast path for placement
-	// records ("full", "patched", "cached", "shared").
+	// records ("full", "cached", "shared").
 	PlanMode string `json:"plan_mode,omitempty"`
 	// Events and World snapshot the fault state the decision was made
 	// under: the iteration's fault/recovery markers and the active

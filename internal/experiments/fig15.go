@@ -15,23 +15,17 @@ import (
 	"zeppelin/internal/workload"
 )
 
-// Fig15 is the planner fast-path scaling sweep, an experiment the paper
-// has no analogue for: it measures *planning latency* — the host-side
-// cost that bounds streaming-campaign goodput once re-planning is a
-// per-iteration hot path — rather than simulated iteration time. Worlds
-// of 64 → 8192 data-parallel ranks plan a churning high-multiplicity
-// stream (FineWeb-shaped arrivals, ~5% of sequences replaced per
-// iteration) twice: once through the full hierarchical solve, once
-// through the incremental planner (keyed plan cache + delta patching).
-// Each cell reports plan-latency p50/p95, allocations per plan, the
-// incremental mode split, and the worst cost ratio of incremental over
-// full plans — the sweep is self-verifying: speed must not buy imbalance
-// beyond the configured drift.
+// Fig15 is the full-solve scaling sweep, an experiment the paper has no
+// analogue for: it measures *planning latency* — the host-side cost of
+// re-running the hierarchical partition every iteration — rather than
+// simulated iteration time. Worlds of 64 → 8192 data-parallel ranks plan
+// a churning high-multiplicity stream (FineWeb-shaped arrivals, ~5% of
+// sequences replaced per iteration) through the full hierarchical solve.
+// Each cell reports plan-latency p50/p95 and allocations per plan.
 //
-// Latencies are wall-clock and hence machine-dependent; the structural
-// outputs (mode splits, cost ratios) are deterministic. The authoritative
-// allocation numbers come from `go test -bench Fig15 -benchmem`, which
-// exercises the same stream through the same planners.
+// Latencies are wall-clock and hence machine-dependent. The
+// authoritative allocation numbers come from `go test -bench Fig15
+// -benchmem`, which exercises the same stream through the same solver.
 
 // Fig15Iters is the per-cell planning-stream length.
 const Fig15Iters = 24
@@ -39,39 +33,26 @@ const Fig15Iters = 24
 // Fig15ChurnFrac is the per-iteration fraction of sequences replaced.
 const Fig15ChurnFrac = 0.05
 
-// Fig15MaxDeltaFrac is the incremental planner's patch admission bound
-// used by the sweep and the benchmarks.
-const Fig15MaxDeltaFrac = 0.25
-
 // Fig15Ranks are the swept world sizes (data-parallel ranks; nodes of 8).
 // The tail doubles to 8192 ranks: the serial full solve there takes tens
 // of milliseconds per plan, so the sweep stays routine.
 var Fig15Ranks = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
-// Fig15Series is one planning mode's measurement within a cell.
+// Fig15Series is the full solve's measurement within a cell.
 type Fig15Series struct {
 	P50Micros     float64 `json:"p50_micros"`
 	P95Micros     float64 `json:"p95_micros"`
 	AllocsPerPlan float64 `json:"allocs_per_plan"`
 }
 
-// Fig15Cell is one world size's full-vs-incremental comparison.
+// Fig15Cell is one world size's measurement.
 type Fig15Cell struct {
 	Ranks int `json:"ranks"`
 	Nodes int `json:"nodes"`
 	// Seqs is the mean batch size (sequences) of the cell's stream.
 	Seqs int `json:"seqs"`
 
-	Full        Fig15Series `json:"full"`
-	Incremental Fig15Series `json:"incremental"`
-
-	// Modes is the incremental planner's decision split over the stream.
-	Modes partition.Counters `json:"modes"`
-	// SpeedupP50 is full p50 latency over incremental p50.
-	SpeedupP50 float64 `json:"speedup_p50"`
-	// MaxCostRatio is the worst per-iteration LoadImbalance ratio of the
-	// incremental plan over the full solve (1.0 = always cost-equal).
-	MaxCostRatio float64 `json:"max_cost_ratio"`
+	Full Fig15Series `json:"full"`
 }
 
 // Fig15Result is the experiment's structured output.
@@ -92,8 +73,8 @@ func Fig15PlanConfig(ranks int) partition.Config {
 
 // Fig15Stream pre-generates a cell's deterministic planning stream: a
 // FineWeb batch at ~90% fill followed by churned successors. The same
-// stream drives both planning modes (and the repository benchmarks), so
-// comparisons are batch-for-batch.
+// stream drives the sweep and the repository benchmarks, so their
+// numbers compare batch for batch.
 func Fig15Stream(ranks, iters int) [][]seq.Sequence {
 	rng := rand.New(rand.NewSource(4242))
 	budget := ranks * 4096 * 9 / 10
@@ -180,7 +161,7 @@ func Fig15Bench(ranks, iters int) (Fig15Cell, error) {
 // fig15Cell measures one world size on a pre-generated stream.
 func fig15Cell(ranks int, stream [][]seq.Sequence) (Fig15Cell, error) {
 	cfg := Fig15PlanConfig(ranks)
-	cell := Fig15Cell{Ranks: ranks, Nodes: cfg.Cluster.Nodes, MaxCostRatio: 1}
+	cell := Fig15Cell{Ranks: ranks, Nodes: cfg.Cluster.Nodes}
 	var seqs int
 	for _, b := range stream {
 		seqs += len(b)
@@ -191,80 +172,27 @@ func fig15Cell(ranks int, stream [][]seq.Sequence) (Fig15Cell, error) {
 	if err != nil {
 		return cell, err
 	}
-	fullImb := make([]float64, len(stream))
-	fullLat := make([]float64, len(stream))
-	fullAllocs, err := measure(len(stream), fullLat, func(i int) (*seq.Plan, error) {
-		r, err := full.Plan(stream[i])
-		if err != nil {
-			return nil, err
-		}
-		return r.Plan, nil
-	}, fullImb)
-	if err != nil {
-		return cell, err
-	}
-
-	inc := partition.NewIncremental(partition.IncrementalConfig{MaxDeltaFrac: Fig15MaxDeltaFrac})
-	incImb := make([]float64, len(stream))
-	incLat := make([]float64, len(stream))
-	incAllocs, err := measure(len(stream), incLat, func(i int) (*seq.Plan, error) {
-		r, _, err := inc.Plan(cfg, stream[i])
-		if err != nil {
-			return nil, err
-		}
-		return r.Plan, nil
-	}, incImb)
-	if err != nil {
-		return cell, err
-	}
-
-	cell.Full = Fig15Series{
-		P50Micros:     campaign.Percentile(fullLat, 50),
-		P95Micros:     campaign.Percentile(fullLat, 95),
-		AllocsPerPlan: fullAllocs,
-	}
-	cell.Incremental = Fig15Series{
-		P50Micros:     campaign.Percentile(incLat, 50),
-		P95Micros:     campaign.Percentile(incLat, 95),
-		AllocsPerPlan: incAllocs,
-	}
-	cell.Modes = inc.Counters()
-	if cell.Incremental.P50Micros > 0 {
-		cell.SpeedupP50 = cell.Full.P50Micros / cell.Incremental.P50Micros
-	}
-	for i := range stream {
-		if fullImb[i] > 0 {
-			if r := incImb[i] / fullImb[i]; r > cell.MaxCostRatio {
-				cell.MaxCostRatio = r
-			}
-		}
-	}
-	return cell, nil
-}
-
-// measure times one planning pass, filling latencies (µs) and imbalances,
-// and returns the mean allocations per plan (Mallocs delta — exact while
-// the pass runs alone, which Fig15 guarantees by measuring serially).
-// The cost-verification pass runs after the second MemStats read so its
-// own allocations never contaminate AllocsPerPlan.
-func measure(n int, latMicros []float64, plan func(i int) (*seq.Plan, error), imb []float64) (float64, error) {
-	plans := make([]*seq.Plan, n)
+	// Latencies (µs) and the mean allocations per plan (Mallocs delta —
+	// exact while the pass runs alone, which Fig15 guarantees by
+	// measuring serially).
+	lat := make([]float64, len(stream))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for i := 0; i < n; i++ {
+	for i, b := range stream {
 		t0 := time.Now()
-		p, err := plan(i)
-		latMicros[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
+		_, err := full.Plan(b)
+		lat[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
 		if err != nil {
-			return 0, err
+			return cell, err
 		}
-		plans[i] = p
 	}
 	runtime.ReadMemStats(&m1)
-	for i, p := range plans {
-		imb[i] = partition.LoadImbalance(p, nil)
+	cell.Full = Fig15Series{
+		P50Micros:     campaign.Percentile(lat, 50),
+		P95Micros:     campaign.Percentile(lat, 95),
+		AllocsPerPlan: float64(m1.Mallocs-m0.Mallocs) / float64(len(stream)),
 	}
-	return float64(m1.Mallocs-m0.Mallocs) / float64(n), nil
+	return cell, nil
 }
 
 // WriteFig15 renders the sweep table.
@@ -273,32 +201,13 @@ func WriteFig15(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Figure 15: planner fast path, %d-iteration stream (%.0f%% churn), full vs incremental\n\n",
+	fmt.Fprintf(w, "Figure 15: full-solve planning latency, %d-iteration stream (%.0f%% churn)\n\n",
 		res.Iters, res.Churn*100)
-	fmt.Fprintf(w, "  %6s %6s %6s | %10s %10s | %10s %10s | %7s | %5s %7s %6s | %6s\n",
-		"ranks", "nodes", "seqs",
-		"full p50", "p95 (µs)", "inc p50", "p95 (µs)", "speedup",
-		"full", "patched", "cached", "cost")
+	fmt.Fprintf(w, "  %6s %6s %6s | %10s %10s | %s\n",
+		"ranks", "nodes", "seqs", "p50 (µs)", "p95 (µs)", "allocations per plan")
 	for _, c := range res.Cells {
-		fmt.Fprintf(w, "  %6d %6d %6d | %10.0f %10.0f | %10.0f %10.0f | %6.1fx | %5d %7d %6d | %5.3fx\n",
-			c.Ranks, c.Nodes, c.Seqs,
-			c.Full.P50Micros, c.Full.P95Micros,
-			c.Incremental.P50Micros, c.Incremental.P95Micros,
-			c.SpeedupP50,
-			c.Modes.Full, c.Modes.Patched, c.Modes.Cached,
-			c.MaxCostRatio)
-	}
-	fmt.Fprintf(w, "\n  allocations per plan (full vs incremental):\n")
-	for _, c := range res.Cells {
-		fmt.Fprintf(w, "  %6d ranks: %8.0f vs %8.0f\n", c.Ranks, c.Full.AllocsPerPlan, c.Incremental.AllocsPerPlan)
+		fmt.Fprintf(w, "  %6d %6d %6d | %10.0f %10.0f | %8.0f\n",
+			c.Ranks, c.Nodes, c.Seqs, c.Full.P50Micros, c.Full.P95Micros, c.Full.AllocsPerPlan)
 	}
 	return nil
-}
-
-// Fig15ScalingSpeedup returns the p50 speedup at the largest world.
-func Fig15ScalingSpeedup(res *Fig15Result) float64 {
-	if len(res.Cells) == 0 {
-		return 0
-	}
-	return res.Cells[len(res.Cells)-1].SpeedupP50
 }

@@ -5,14 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"zeppelin/internal/partition"
 	"zeppelin/internal/seq"
 )
 
 // TestFig15SweepCompletesTo8192Ranks runs the full scaling sweep — the
-// acceptance bar is that the 8192-rank world plans end to end on both
-// paths, the incremental mode split engages, and every cell stays
-// cost-equal within the self-regulation drift.
+// acceptance bar is that the 8192-rank world plans end to end and every
+// cell carries its latency and allocation measurements.
 func TestFig15SweepCompletesTo8192Ranks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep to 8192 ranks takes a few seconds")
@@ -28,18 +26,7 @@ func TestFig15SweepCompletesTo8192Ranks(t *testing.T) {
 		if cell.Ranks != Fig15Ranks[i] {
 			t.Fatalf("cell %d ranks = %d, want %d", i, cell.Ranks, Fig15Ranks[i])
 		}
-		if cell.Modes.Plans() != Fig15Iters {
-			t.Fatalf("%d ranks: %d plans counted, want %d", cell.Ranks, cell.Modes.Plans(), Fig15Iters)
-		}
-		if cell.Modes.Patched == 0 {
-			t.Fatalf("%d ranks: incremental path never patched (%+v)", cell.Ranks, cell.Modes)
-		}
-		// Cost-equality: the planner's own drift bound (15%) plus rounding
-		// slack. A violation here means the self-regulation guard broke.
-		if cell.MaxCostRatio > 1+partition.DefaultMaxImbalanceDrift+0.05 {
-			t.Fatalf("%d ranks: cost ratio %.3f exceeds drift bound", cell.Ranks, cell.MaxCostRatio)
-		}
-		if cell.Full.P50Micros <= 0 || cell.Incremental.P50Micros <= 0 {
+		if cell.Full.P50Micros <= 0 || cell.Full.P95Micros < cell.Full.P50Micros || cell.Full.AllocsPerPlan <= 0 {
 			t.Fatalf("%d ranks: missing latency measurements: %+v", cell.Ranks, cell)
 		}
 	}
@@ -98,7 +85,7 @@ func TestFig15BenchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.Ranks != 64 || cell.Modes.Plans() != 4 {
+	if cell.Ranks != 64 || cell.Seqs == 0 || cell.Full.P50Micros <= 0 {
 		t.Fatalf("bench cell = %+v", cell)
 	}
 }
@@ -115,7 +102,7 @@ func TestWriteFig15Renders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Figure 15", "ranks", "speedup", "allocations per plan"} {
+	for _, want := range []string{"Figure 15", "ranks", "p95", "allocations per plan"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering missing %q:\n%s", want, out)
 		}

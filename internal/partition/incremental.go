@@ -1,34 +1,17 @@
-// Incremental re-planning fast path. Streaming campaigns re-run the
-// partitioner every iteration, so planning latency bounds campaign
-// goodput. The Incremental planner exploits how little the input usually
-// changes between consecutive iterations: it keeps a keyed plan cache
-// (exact reuse of a previously solved batch under the same cluster view)
-// and, when a tolerance is configured, patches the previous plan in place
-// of a full solve — removing departed sequences and greedily re-placing
-// only the arrivals — whenever the batch delta is small and structurally
-// local. Any health change (effective-speed view), elastic resize,
-// capacity change, or structurally large delta invalidates the fast path
-// and falls back to the full hierarchical solve.
-//
-// The patch path is engineered for latency: the previous placement lives
-// in a roster sorted by sequence ID, so the batch delta is a two-pointer
-// merge (no per-call map churn); feasibility is judged on the load vector
-// alone and the patched plan is then built in a single pass over one flat
-// backing array, with all transient state in reused scratch buffers (and,
-// under IncrementalConfig.ReusePlans, the plan itself in a reused arena —
-// the steady state then allocates nothing at all). Patched
-// plans are cost-equal to full solves within the configured drift (the
-// golden tests pin this), and every fast-path decision is deterministic,
-// so campaigns running over an Incremental planner remain
-// bit-reproducible per (Config, seed).
+// Incremental re-planning. Streaming campaigns re-run the partitioner
+// every iteration, and a full hierarchical solve is a pure function of
+// the batch and the cluster view (node split, capacity, effective-speed
+// vector). The Incremental planner therefore keeps an exact-key plan
+// cache: a batch repeated under an unchanged view — replayed traces,
+// periodic workloads — returns the cached Result without touching the
+// solver. Every other batch, including a repeat under a new speed view,
+// node count or capacity, is a full solve. Every plan is thus
+// bit-identical to the stateless solve at any cache state, so campaigns
+// over an Incremental planner stay bit-reproducible per (Config, seed).
 package partition
 
 import (
 	"fmt"
-	"hash/maphash"
-	"math"
-	"slices"
-	"sort"
 
 	"zeppelin/internal/seq"
 )
@@ -36,11 +19,10 @@ import (
 // PlanMode identifies how the Incremental planner produced a plan.
 type PlanMode uint8
 
-// The three fast-path outcomes: a full hierarchical solve, a patch of the
-// previous plan, or an exact keyed-cache hit.
+// The two outcomes: a full hierarchical solve or an exact keyed-cache
+// hit.
 const (
 	PlanFull PlanMode = iota
-	PlanPatched
 	PlanCached
 )
 
@@ -49,8 +31,6 @@ func (m PlanMode) String() string {
 	switch m {
 	case PlanFull:
 		return "full"
-	case PlanPatched:
-		return "patched"
 	case PlanCached:
 		return "cached"
 	default:
@@ -58,7 +38,7 @@ func (m PlanMode) String() string {
 	}
 }
 
-// PlanStats describes one Plan call's fast-path decision.
+// PlanStats describes one Plan call's decision.
 type PlanStats struct {
 	Mode PlanMode
 	// Shared marks a PlanCached outcome that was served from the
@@ -66,166 +46,42 @@ type PlanStats struct {
 	// Mode stays PlanCached — shared hits carry the same full-solve purity
 	// guarantee — but observability distinguishes the two.
 	Shared bool
-	// AddedSeqs/RemovedSeqs/DeltaTokens quantify the batch delta against
-	// the previous plan (zero on full solves without a predecessor and on
-	// cache hits).
-	AddedSeqs   int
-	RemovedSeqs int
-	DeltaTokens int
 }
 
-// Counters accumulates fast-path decisions over a planner's lifetime.
+// Counters accumulates plan decisions over a planner's lifetime.
 type Counters struct {
-	Full    int `json:"full"`
-	Patched int `json:"patched"`
-	Cached  int `json:"cached"`
+	Full   int `json:"full"`
+	Cached int `json:"cached"`
 	// Shared counts exact hits served from the process-wide shared tier
 	// (IncrementalConfig.Shared) instead of this planner's own cache.
 	Shared int `json:"shared,omitempty"`
 }
 
 // Plans returns the total number of Plan calls counted.
-func (c Counters) Plans() int { return c.Full + c.Patched + c.Cached + c.Shared }
+func (c Counters) Plans() int { return c.Full + c.Cached + c.Shared }
 
-// IncrementalConfig tunes the fast path.
+// IncrementalConfig tunes the planner's caches.
 type IncrementalConfig struct {
-	// MaxDeltaFrac is the largest fraction of the incoming batch's tokens
-	// that may differ from the previous batch for patching to apply. Zero
-	// disables patching entirely — the planner then only reuses exact
-	// keyed-cache hits, which are bit-identical to full solves, the mode
-	// campaigns use when stream identity matters.
-	MaxDeltaFrac float64
-	// MaxImbalanceDrift self-regulates patch quality: a patched plan
-	// whose load imbalance exceeds (1 + drift) × the imbalance of the
-	// planner's last full solve is discarded and re-solved in full. This
-	// catches the discontinuous cases — a threshold shift that would have
-	// re-split a long sequence — where greedy patching cannot follow the
-	// full algorithm. <= 0 selects 0.15.
-	MaxImbalanceDrift float64
-	// MaxPatchRun bounds consecutive patches before a forced full solve,
-	// so patch chains cannot drift arbitrarily far from a solved base.
-	// <= 0 selects 16.
-	MaxPatchRun int
 	// CacheCap bounds the keyed plan cache (entries); <= 0 selects 16.
 	CacheCap int
 	// Shared, when set, is the process-wide plan cache tier: after a
-	// local cache miss (and before patching) the planner probes it for an
-	// exact full-solve hit, and every full solve it performs is published
-	// back. Shared holds full solves only — pure functions of the inputs
-	// — so hits are bit-identical to re-solving and the planner's
-	// determinism guarantees are unchanged. Nil keeps the planner fully
-	// private (the historical behavior).
+	// local cache miss the planner probes it for an exact full-solve hit,
+	// and every full solve it performs is published back. Hits are
+	// bit-identical to re-solving. Nil keeps the planner fully private.
 	Shared *SharedCache
-	// ReusePlans opts the patch path into plan-arena reuse: patched plans
-	// are built into two ping-ponged arenas owned by the planner instead
-	// of freshly allocated, making steady-state re-planning
-	// allocation-free (0 allocs/op once buffer sizes stabilize, pinned by
-	// tests). The plans themselves are bit-identical to the default
-	// mode's. In exchange, a patched Result is only valid until the
-	// second following Plan call (the arena it lives in is then rebuilt);
-	// full solves and cache hits still return immutable heap plans. And
-	// patched plans are not inserted into the keyed cache — arena plans
-	// are mutable, so a verbatim repeat of a patched batch re-patches
-	// instead of hitting the cache. Callers that retain plans across
-	// iterations (campaigns, the fig15 sweep) must leave this off.
-	ReusePlans bool
 }
 
-// Fast-path defaults; see IncrementalConfig.
-const (
-	DefaultCacheCap          = 16
-	DefaultMaxImbalanceDrift = 0.15
-	DefaultMaxPatchRun       = 16
-)
+// DefaultCacheCap is the keyed plan cache's entry bound when
+// IncrementalConfig.CacheCap is not positive.
+const DefaultCacheCap = 16
 
 // Incremental is a stateful planner for re-planning hot paths. Not safe
 // for concurrent use; a campaign owns exactly one.
 type Incremental struct {
-	inc  IncrementalConfig
-	part *Partitioner
-
-	cache []cacheEntry // front = most recent; tiny, scanned linearly
-
-	// Patch base: the most recent plan, its per-rank token loads, and its
-	// placement roster sorted by sequence ID.
-	haveBase    bool
-	cfgWorld    int
-	cfgNodes    int
-	cfgCapacity int
-	speeds      []float64
-	res         *Result
-	loads       []int
-	roster      []placedSeq
-	rosterDup   bool // duplicate IDs in base batch: merge diff is ambiguous
-	minS0       int
-
-	// baseImb is the load imbalance of the current patch base (the last
-	// full solve or cache adoption); patchRun counts consecutive patches
-	// since then.
-	baseImb  float64
-	patchRun int
-
+	shared   *SharedCache
+	part     *Partitioner
+	cache    planLRU
 	counters Counters
-	seed     maphash.Seed
-
-	// Reused scratch.
-	keyBuf   []byte
-	curBuf   []placedSeq // incoming batch sorted by ID
-	nextBuf  []placedSeq // next roster under construction (swapped in)
-	added    []addedSeq
-	removed  []placedSeq
-	loadsBuf []int
-	share    []int
-	rmIDs    []int        // removed-ID set, ascending (roster order)
-	arrHead  []int        // per-rank arrival chain heads (index into added)
-	arrNext  []int        // arrival chain links
-	arenas   [2]planArena // ReusePlans ping-pong targets
-	arenaIdx int
-}
-
-// planArena is one reusable patched-plan target: the Plan struct, the
-// flat backing array its local lists slice into, the ring list, and the
-// Result wrapper. Under ReusePlans two arenas alternate so the previous
-// patch's plan stays readable (it is the patch base) while the next one
-// builds; without ReusePlans a zero-value arena is used once and its
-// buffers escape into the immutable returned Result.
-type planArena struct {
-	plan  *seq.Plan
-	flat  []seq.Sequence
-	rings []seq.Ring
-	s0    []int
-	res   Result
-}
-
-// placedSeq is one roster entry: a sequence and where the plan holds it.
-type placedSeq struct {
-	s    seq.Sequence
-	rank int32 // owning rank for local placements; -1 for ring sequences
-	ring bool
-}
-
-// addedSeq is an arrival pending greedy placement, remembering its slot
-// in the next roster so the chosen rank can be written back.
-type addedSeq struct {
-	s   seq.Sequence
-	pos int
-}
-
-// cacheEntry is one keyed plan: the exact inputs plus the solved result.
-// Results are immutable once cached (patching copies, never mutates).
-// baseImb and patchRun snapshot the drift-regulation state at insertion,
-// so adopting a cached *patched* plan as the new patch base restores its
-// original full-solve anchor instead of re-anchoring on the drifted
-// value (which would compound MaxImbalanceDrift cycle over cycle).
-type cacheEntry struct {
-	key      uint64
-	world    int
-	capacity int
-	speeds   []float64
-	batch    []seq.Sequence
-	res      *Result
-	baseImb  float64
-	patchRun int
 }
 
 // NewIncremental builds an incremental planner.
@@ -233,81 +89,39 @@ func NewIncremental(inc IncrementalConfig) *Incremental {
 	if inc.CacheCap <= 0 {
 		inc.CacheCap = DefaultCacheCap
 	}
-	if inc.MaxDeltaFrac < 0 {
-		inc.MaxDeltaFrac = 0
-	}
-	if inc.MaxImbalanceDrift <= 0 {
-		inc.MaxImbalanceDrift = DefaultMaxImbalanceDrift
-	}
-	if inc.MaxPatchRun <= 0 {
-		inc.MaxPatchRun = DefaultMaxPatchRun
-	}
-	return &Incremental{inc: inc, seed: maphash.MakeSeed()}
+	return &Incremental{shared: inc.Shared, cache: newPlanLRU(inc.CacheCap)}
 }
 
-// Counters reports the cumulative fast-path decision counts.
+// Counters reports the cumulative plan decision counts.
 func (p *Incremental) Counters() Counters { return p.counters }
 
-// Reset drops the plan cache and patch state, returning the planner to
+// Reset drops the plan cache and counters, returning the planner to
 // cold. Campaigns call it at start so a reused planner instance is
 // deterministic run over run.
 func (p *Incremental) Reset() {
-	p.cache = p.cache[:0]
-	p.haveBase = false
-	p.res = nil
+	p.cache.entries = p.cache.entries[:0]
 	p.counters = Counters{}
-	p.baseImb = 0
-	p.patchRun = 0
 }
 
-// Plan produces a placement for the batch under the configuration,
-// taking the fastest sound path: exact cache hit, patch of the previous
-// plan, or full solve. The returned Result is immutable — callers and
-// the cache share it.
+// Plan produces a placement for the batch under the configuration: an
+// exact hit in this planner's cache, then in the shared tier, else a
+// full solve. The returned Result is immutable — callers and the caches
+// share it.
 func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanStats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, PlanStats{}, err
 	}
-	key := p.hashKey(cfg, batch)
-
-	// Exact keyed reuse: same cluster view, capacity, and batch.
-	if e := p.lookup(key, cfg, batch); e != nil {
+	key := p.cache.hash(cfg, batch)
+	if res := p.cache.get(key, cfg, batch); res != nil {
 		p.counters.Cached++
-		res, baseImb, patchRun := e.res, e.baseImb, e.patchRun
-		p.rebuildBase(cfg, res)
-		// Restore the entry's drift anchor: a cached patched plan keeps
-		// the full-solve baseline it was judged against.
-		p.baseImb = baseImb
-		p.patchRun = patchRun
 		return res, PlanStats{Mode: PlanCached}, nil
 	}
-
-	// Exact hit in the process-wide shared tier: another planner already
-	// full-solved these inputs. The result is bit-identical to solving
-	// here, so adopt it as this planner's patch base (its own imbalance is
-	// the drift anchor, exactly as a fresh full solve would set) and front
-	// it in the local cache.
-	if p.inc.Shared != nil {
-		if res, ok := p.inc.Shared.Get(cfg, batch); ok {
+	if p.shared != nil {
+		if res, ok := p.shared.Get(cfg, batch); ok {
 			p.counters.Shared++
-			p.rebuildBase(cfg, res)
-			p.insertCache(key, cfg, batch, res)
+			p.cache.put(key, cfg, batch, res)
 			return res, PlanStats{Mode: PlanCached, Shared: true}, nil
 		}
-	}
-
-	// Patch the previous plan when the delta is small and structural
-	// conditions hold. tryPatch installs the new base itself, so only the
-	// cache entry remains to store.
-	if res, st, ok := p.tryPatch(cfg, batch); ok {
-		p.counters.Patched++
-		p.patchRun++
-		// Arena-built plans are mutable (rebuilt two patches later), so
-		// only the default mode's immutable plans enter the keyed cache.
-		if !p.inc.ReusePlans {
-			p.insertCache(key, cfg, batch, res)
-		}
-		return res, st, nil
 	}
 
 	// Full hierarchical solve, reusing the partitioner's scratch.
@@ -325,412 +139,19 @@ func (p *Incremental) Plan(cfg Config, batch []seq.Sequence) (*Result, PlanStats
 		return nil, PlanStats{}, err
 	}
 	p.counters.Full++
-	// Rebuild the base first: insertCache snapshots the fresh drift
-	// anchor (this solve's own imbalance, patchRun 0).
-	p.rebuildBase(cfg, res)
-	p.insertCache(key, cfg, batch, res)
-	// Full solves are pure functions of (cfg, batch): publish to the
-	// shared tier so concurrent requests and sessions dedupe the work.
-	// Patched plans above never publish — they are history-dependent.
-	if p.inc.Shared != nil {
-		p.inc.Shared.Put(cfg, batch, res)
+	p.cache.put(key, cfg, batch, res)
+	if p.shared != nil {
+		p.shared.Put(cfg, batch, res)
 	}
 	return res, PlanStats{Mode: PlanFull}, nil
 }
 
-// hashKey folds the cluster view, capacity, and batch into a cache key
-// through one flat buffer hash (per-field Write calls are measurable at
-// thousand-sequence batch sizes).
-func (p *Incremental) hashKey(cfg Config, batch []seq.Sequence) uint64 {
-	need := 8 * (4 + len(cfg.Speeds) + 1 + 2*len(batch))
-	if cap(p.keyBuf) < need {
-		p.keyBuf = make([]byte, need)
-	}
-	b := p.keyBuf[:0]
-	put := func(u uint64) {
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	put(uint64(cfg.Cluster.Nodes))
-	put(uint64(cfg.Cluster.GPUsPerNode))
-	put(uint64(cfg.CapacityTokens))
-	put(uint64(len(cfg.Speeds)))
-	for _, s := range cfg.Speeds {
-		put(math.Float64bits(s))
-	}
-	put(uint64(len(batch)))
-	for _, s := range batch {
-		put(uint64(s.ID))
-		put(uint64(s.Len))
-	}
-	p.keyBuf = b
-	return maphash.Bytes(p.seed, b)
-}
-
-// lookup finds a cache entry whose key and exact inputs match, promoting
-// it to the front (LRU order).
-func (p *Incremental) lookup(key uint64, cfg Config, batch []seq.Sequence) *cacheEntry {
-	for i := range p.cache {
-		e := &p.cache[i]
-		if e.key != key || e.world != cfg.Cluster.World() || e.capacity != cfg.CapacityTokens {
-			continue
-		}
-		if !sameSpeeds(e.speeds, cfg.Speeds) || !sameBatch(e.batch, batch) {
-			continue
-		}
-		if i != 0 {
-			hit := *e
-			copy(p.cache[1:i+1], p.cache[:i])
-			p.cache[0] = hit
-		}
-		return &p.cache[0]
-	}
-	return nil
-}
-
-// insertCache fronts a solved plan in the keyed cache (LRU eviction),
-// snapshotting the planner's current drift anchor. Callers insert after
-// updating baseImb/patchRun for the plan being cached.
-func (p *Incremental) insertCache(key uint64, cfg Config, batch []seq.Sequence, res *Result) {
-	e := cacheEntry{
-		key:      key,
-		world:    cfg.Cluster.World(),
-		capacity: cfg.CapacityTokens,
-		speeds:   copyF(cfg.Speeds),
-		batch:    append([]seq.Sequence(nil), batch...),
-		res:      res,
-		baseImb:  p.baseImb,
-		patchRun: p.patchRun,
-	}
-	if len(p.cache) < p.inc.CacheCap {
-		p.cache = append(p.cache, cacheEntry{})
-	}
-	copy(p.cache[1:], p.cache[:len(p.cache)-1])
-	p.cache[0] = e
-}
-
-// rebuildBase reconstructs the patch base from a solved plan: per-rank
-// loads plus the ID-sorted placement roster. Runs on full solves and
-// cache adoptions only; patches maintain the base incrementally. In
-// exact mode (MaxDeltaFrac 0) there is nothing to patch, so the roster
-// and load accounting are skipped entirely — exact-mode planning is
-// then the stateless solve plus a cache probe and nothing else.
-func (p *Incremental) rebuildBase(cfg Config, res *Result) {
-	if p.inc.MaxDeltaFrac <= 0 {
-		return
-	}
-	p.haveBase = true
-	p.cfgWorld = cfg.Cluster.World()
-	p.cfgNodes = cfg.Cluster.Nodes
-	p.cfgCapacity = cfg.CapacityTokens
-	p.speeds = copyF(cfg.Speeds)
-	p.res = res
-	p.loads = res.Plan.TokensPerRankInto(p.loads, p.share)
-
-	roster := p.roster[:0]
-	for r, ls := range res.Plan.Local {
-		for _, s := range ls {
-			roster = append(roster, placedSeq{s: s, rank: int32(r)})
-		}
-	}
-	for _, ring := range res.Plan.Rings {
-		roster = append(roster, placedSeq{s: ring.Seq, rank: -1, ring: true})
-	}
-	slices.SortFunc(roster, func(a, b placedSeq) int { return a.s.ID - b.s.ID })
-	p.roster = roster
-	p.rosterDup = false
-	for i := 1; i < len(roster); i++ {
-		if roster[i].s.ID == roster[i-1].s.ID {
-			p.rosterDup = true
-			break
-		}
-	}
-
-	p.minS0 = cfg.CapacityTokens
-	for _, s0 := range res.S0 {
-		if s0 < p.minS0 {
-			p.minS0 = s0
-		}
-	}
-	p.baseImb = effImbalance(p.loads, cfg.Speeds)
-	p.patchRun = 0
-}
-
-// tryPatch attempts the delta patch. It never mutates planner state on
-// failure; on success it installs the patched plan as the new base.
-func (p *Incremental) tryPatch(cfg Config, batch []seq.Sequence) (*Result, PlanStats, bool) {
-	if !p.haveBase || p.rosterDup || p.inc.MaxDeltaFrac <= 0 || p.patchRun >= p.inc.MaxPatchRun {
-		return nil, PlanStats{}, false
-	}
-	// Structural invalidation: elastic resize, capacity change, or any
-	// health (effective-speed) change forces the full solve — a patched
-	// plan would balance against a stale cluster view.
-	if p.cfgWorld != cfg.Cluster.World() || p.cfgNodes != cfg.Cluster.Nodes ||
-		p.cfgCapacity != cfg.CapacityTokens || !sameSpeeds(p.speeds, cfg.Speeds) {
-		return nil, PlanStats{}, false
-	}
-
-	removed, added, next, deltaTokens, total, ok := p.diff(batch)
-	if !ok {
-		return nil, PlanStats{}, false
-	}
-	if total == 0 || float64(deltaTokens) > p.inc.MaxDeltaFrac*float64(total) {
-		return nil, PlanStats{}, false
-	}
-	// Arrivals must be local-zone everywhere (below every node's intra
-	// threshold): longer sequences need the ring machinery of the full
-	// solve.
-	for _, a := range added {
-		if a.s.Len >= p.minS0 {
-			return nil, PlanStats{}, false
-		}
-	}
-
-	// Phase 1 — loads and feasibility, touching only scratch so a decline
-	// leaves no trace. The plan is not built yet: placement needs only
-	// the load vector, and deferring construction means a failed patch
-	// costs no plan copy and a successful one is built in a single pass.
-	base := p.res.Plan
-	loads := growI(p.loadsBuf, len(p.loads))
-	p.loadsBuf = loads
-	copy(loads, p.loads)
-	rmIDs := p.rmIDs[:0]
-	for _, rm := range removed {
-		rmIDs = append(rmIDs, rm.s.ID) // roster order: ascending IDs
-		if rm.ring {
-			if !uncountRing(base, rm.s.ID, loads, &p.share) {
-				p.rmIDs = rmIDs
-				return nil, PlanStats{}, false
-			}
-			continue
-		}
-		if !uncountLocal(base, int(rm.rank), rm.s.ID, loads) {
-			p.rmIDs = rmIDs
-			return nil, PlanStats{}, false
-		}
-	}
-	p.rmIDs = rmIDs
-
-	// Greedy placement of arrivals, longest first — the same
-	// least-loaded criterion Alg. 2 uses for the local zone. The chosen
-	// rank is written back into the next roster through each arrival's
-	// remembered slot.
-	L := cfg.CapacityTokens
-	slices.SortFunc(added, func(a, b addedSeq) int {
-		if a.s.Len != b.s.Len {
-			return b.s.Len - a.s.Len
-		}
-		return a.s.ID - b.s.ID
-	})
-	for _, a := range added {
-		d := argminLoad(loads, cfg.Speeds)
-		if loads[d]+a.s.Len > L {
-			return nil, PlanStats{}, false
-		}
-		loads[d] += a.s.Len
-		next[a.pos].rank = int32(d)
-	}
-
-	// Quality self-regulation: a patch whose balance drifts past the
-	// full-solve base would hide a restructuring the full algorithm wants
-	// (threshold shift, re-split); discard it and solve in full.
-	if effImbalance(loads, cfg.Speeds) > p.baseImb*(1+p.inc.MaxImbalanceDrift) {
-		return nil, PlanStats{}, false
-	}
-
-	// Phase 2 — build the patched plan in one pass: survivors copied in
-	// base order minus the removed IDs, arrivals appended per rank in
-	// placement order (identical content to cutting then appending).
-	// Under ReusePlans the target is the next ping-pong arena; otherwise
-	// a zero-value arena whose buffers escape into the immutable Result.
-	var arena *planArena
-	if p.inc.ReusePlans {
-		arena = &p.arenas[p.arenaIdx]
-		p.arenaIdx ^= 1
-	} else {
-		arena = &planArena{}
-	}
-	res := p.buildPatched(arena, base, len(batch), added, next, rmIDs)
-
-	// Commit: swap in the next roster and loads; the old buffers become
-	// scratch for the following patch.
-	p.res = res
-	p.roster, p.nextBuf = next, p.roster
-	p.loads, p.loadsBuf = loads, p.loads
-	return res, PlanStats{
-		Mode:        PlanPatched,
-		AddedSeqs:   len(added),
-		RemovedSeqs: len(removed),
-		DeltaTokens: deltaTokens,
-	}, true
-}
-
-// buildPatched assembles the patched plan into an arena. Every local
-// list slices into one flat backing array (capped three-index, so a
-// stray external append cannot clobber a neighbor), rings are the base's
-// minus removals, and the Result wrapper reuses the arena's S0 buffer.
-// nLocal bounds the flat array: every local entry is a batch member.
-func (p *Incremental) buildPatched(a *planArena, base *seq.Plan, nLocal int, added []addedSeq, next []placedSeq, rmIDs []int) *Result {
-	world := base.World
-	// Per-rank arrival chains, linked in reverse so traversal from each
-	// head yields placement order.
-	p.arrHead = growI(p.arrHead, world)
-	for i := range p.arrHead {
-		p.arrHead[i] = -1
-	}
-	p.arrNext = growI(p.arrNext, len(added))
-	for i := len(added) - 1; i >= 0; i-- {
-		r := int(next[added[i].pos].rank)
-		p.arrNext[i] = p.arrHead[r]
-		p.arrHead[r] = i
-	}
-
-	if a.plan == nil || a.plan.World != world {
-		a.plan = seq.NewPlan(world)
-	}
-	plan := a.plan
-	if cap(a.flat) < nLocal {
-		a.flat = make([]seq.Sequence, 0, nLocal)
-	}
-	flat := a.flat[:0]
-	if cap(a.rings) < len(base.Rings) {
-		a.rings = make([]seq.Ring, 0, len(base.Rings))
-	}
-	rings := a.rings[:0]
-	for _, ring := range base.Rings {
-		if !idRemoved(rmIDs, ring.Seq.ID) {
-			rings = append(rings, ring)
-		}
-	}
-	a.rings = rings
-	plan.Rings = rings
-	for r := 0; r < world; r++ {
-		start := len(flat)
-		for _, s := range base.Local[r] {
-			if !idRemoved(rmIDs, s.ID) {
-				flat = append(flat, s)
-			}
-		}
-		for i := p.arrHead[r]; i >= 0; i = p.arrNext[i] {
-			flat = append(flat, added[i].s)
-		}
-		if len(flat) == start {
-			plan.Local[r] = nil
-		} else {
-			plan.Local[r] = flat[start:len(flat):len(flat)]
-		}
-	}
-	a.flat = flat
-
-	a.s0 = growI(a.s0, len(p.res.S0))
-	copy(a.s0, p.res.S0)
-	a.res = Result{Plan: plan, S1: p.res.S1, S0: a.s0}
-	return &a.res
-}
-
-// idRemoved reports whether id is in the ascending removed-ID set.
-// Roster IDs are unique (rosterDup gates patching), so a global set is
-// zone-correct.
-func idRemoved(rmIDs []int, id int) bool {
-	i := sort.SearchInts(rmIDs, id)
-	return i < len(rmIDs) && rmIDs[i] == id
-}
-
-// uncountLocal subtracts a departed local sequence from its rank's load,
-// reporting false if the roster and plan disagree (patch declines).
-func uncountLocal(plan *seq.Plan, rank, id int, loads []int) bool {
-	for _, s := range plan.Local[rank] {
-		if s.ID == id {
-			loads[rank] -= s.Len
-			return true
-		}
-	}
-	return false
-}
-
-// uncountRing subtracts a departed ring's per-member token shares.
-func uncountRing(plan *seq.Plan, id int, loads []int, share *[]int) bool {
-	for _, ring := range plan.Rings {
-		if ring.Seq.ID != id {
-			continue
-		}
-		*share = ring.TokensPerRankInto(*share)
-		for j, r := range ring.Ranks {
-			loads[r] -= (*share)[j]
-		}
-		return true
-	}
-	return false
-}
-
-// diff computes the delta between the base roster and the incoming batch
-// as a two-pointer merge over ID-sorted views, and assembles the next
-// roster (matched entries keep their placement; arrivals hold a
-// placeholder rank their greedy slot fills in). Duplicate IDs on either
-// side make placement bookkeeping ambiguous and decline the patch.
-func (p *Incremental) diff(batch []seq.Sequence) (removed []placedSeq, added []addedSeq, next []placedSeq, deltaTokens, total int, ok bool) {
-	cur := p.curBuf[:0]
-	sorted := true
-	for i, s := range batch {
-		cur = append(cur, placedSeq{s: s})
-		total += s.Len
-		if i > 0 && batch[i-1].ID >= s.ID {
-			sorted = false
-		}
-	}
-	p.curBuf = cur
-	if !sorted {
-		// Samplers emit ascending IDs and arrivals append larger ones, so
-		// streams are usually pre-sorted; pay the sort only when not.
-		slices.SortFunc(cur, func(a, b placedSeq) int { return a.s.ID - b.s.ID })
-	}
-	for i := 1; i < len(cur); i++ {
-		if cur[i].s.ID == cur[i-1].s.ID {
-			return nil, nil, nil, 0, 0, false
-		}
-	}
-
-	next = p.nextBuf[:0]
-	removed = p.removed[:0]
-	added = p.added[:0]
-	base := p.roster
-	i, j := 0, 0
-	for i < len(base) || j < len(cur) {
-		switch {
-		case i == len(base) || (j < len(cur) && cur[j].s.ID < base[i].s.ID):
-			added = append(added, addedSeq{s: cur[j].s, pos: len(next)})
-			next = append(next, placedSeq{s: cur[j].s, rank: -2})
-			deltaTokens += cur[j].s.Len
-			j++
-		case j == len(cur) || base[i].s.ID < cur[j].s.ID:
-			removed = append(removed, base[i])
-			deltaTokens += base[i].s.Len
-			i++
-		case base[i].s.Len == cur[j].s.Len:
-			next = append(next, base[i])
-			i++
-			j++
-		default:
-			// Same ID, new length: departure plus arrival.
-			removed = append(removed, base[i])
-			deltaTokens += base[i].s.Len
-			added = append(added, addedSeq{s: cur[j].s, pos: len(next)})
-			next = append(next, placedSeq{s: cur[j].s, rank: -2})
-			deltaTokens += cur[j].s.Len
-			i++
-			j++
-		}
-	}
-	p.nextBuf = next
-	p.removed = removed
-	p.added = added
-	return removed, added, next, deltaTokens, total, true
-}
-
-// effImbalance is LoadImbalance over a precomputed load vector.
-func effImbalance(loads []int, speeds []float64) float64 {
+// LoadImbalance is the plan cost metric: the maximum over ranks of
+// effective token load (tokens/speed; raw tokens on a healthy view)
+// divided by the mean.
+func LoadImbalance(plan *seq.Plan, speeds []float64) float64 {
 	var sum, max float64
-	for i, t := range loads {
+	for i, t := range plan.TokensPerRank() {
 		eff := float64(t)
 		if speeds != nil {
 			eff /= speeds[i]
@@ -743,47 +164,5 @@ func effImbalance(loads []int, speeds []float64) float64 {
 	if sum == 0 {
 		return 1
 	}
-	return max / (sum / float64(len(loads)))
-}
-
-// LoadImbalance is the cost metric the fast path is judged by: the
-// maximum over ranks of effective token load (tokens/speed; raw tokens on
-// a healthy view) divided by the mean. Patched plans must stay within
-// tolerance of the full solve's value.
-func LoadImbalance(plan *seq.Plan, speeds []float64) float64 {
-	return effImbalance(plan.TokensPerRank(), speeds)
-}
-
-// sameSpeeds compares two speed vectors (nil == nil, not nil == uniform).
-func sameSpeeds(a, b []float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameBatch compares batches element-wise (order-sensitive).
-func sameBatch(a, b []seq.Sequence) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// copyF copies a float slice, preserving nil.
-func copyF(s []float64) []float64 {
-	if s == nil {
-		return nil
-	}
-	return append([]float64(nil), s...)
+	return max / (sum / float64(plan.World))
 }

@@ -16,10 +16,9 @@ func incCell(t *testing.T) Config {
 	return Config{Cluster: cluster.MustNew(cluster.ClusterA, 4), CapacityTokens: 5120}
 }
 
-// sampleBatch draws a capacity-respecting batch for a cell. FineWeb's
-// short-tailed distribution yields the high-multiplicity streams (many
-// local-zone sequences) the patching fast path targets; chunky datasets
-// mostly decline to patch via the delta and drift guards.
+// sampleBatch draws a capacity-respecting batch for a cell from FineWeb's
+// short-tailed distribution: a high-multiplicity stream of many
+// local-zone sequences.
 func sampleBatch(cfg Config, rng *rand.Rand, frac float64) []seq.Sequence {
 	budget := int(frac * float64(cfg.Cluster.World()*cfg.CapacityTokens))
 	return workload.FineWeb.Batch(budget, rng)
@@ -87,7 +86,7 @@ func TestIncrementalExactCacheHit(t *testing.T) {
 	if res1 != res2 {
 		t.Fatal("cache hit must return the identical result")
 	}
-	if c := p.Counters(); c.Full != 1 || c.Cached != 1 || c.Patched != 0 {
+	if c := p.Counters(); c.Full != 1 || c.Cached != 1 || c.Shared != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
@@ -96,7 +95,7 @@ func TestIncrementalExactModeNeverPatches(t *testing.T) {
 	cfg := incCell(t)
 	rng := rand.New(rand.NewSource(2))
 	batch := sampleBatch(cfg, rng, 0.8)
-	p := NewIncremental(IncrementalConfig{}) // MaxDeltaFrac 0: exact mode
+	p := NewIncremental(IncrementalConfig{})
 	mustPlan(t, p, cfg, batch)
 
 	next, _ := mutate(batch, rng, 0.05, 1<<20)
@@ -104,100 +103,6 @@ func TestIncrementalExactModeNeverPatches(t *testing.T) {
 	if st.Mode != PlanFull {
 		t.Fatalf("exact mode planned %s on a delta, want full", st.Mode)
 	}
-}
-
-// TestIncrementalPatchCostEqual is the golden fast-path property: over a
-// chain of small-delta batches, the patched plan conserves tokens (via
-// Validate in mustPlan) and stays cost-equal to an independent full solve
-// within tolerance.
-func TestIncrementalPatchCostEqual(t *testing.T) {
-	const tol = 1.20
-	for _, seed := range []int64{3, 17, 91} {
-		cfg := incCell(t)
-		rng := rand.New(rand.NewSource(seed))
-		batch := sampleBatch(cfg, rng, 0.8)
-
-		p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.3})
-		full, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustPlan(t, p, cfg, batch)
-		nextID := 1 << 20
-		patched := 0
-		for it := 0; it < 30; it++ {
-			batch, nextID = mutate(batch, rng, 0.06, nextID)
-			res, st := mustPlan(t, p, cfg, batch)
-			ref, err := full.Plan(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotImb := LoadImbalance(res.Plan, nil)
-			refImb := LoadImbalance(ref.Plan, nil)
-			if gotImb > refImb*tol {
-				t.Fatalf("seed %d iter %d (%s): imbalance %.4f vs full %.4f exceeds %.0f%% tolerance",
-					seed, it, st.Mode, gotImb, refImb, (tol-1)*100)
-			}
-			if st.Mode == PlanPatched {
-				patched++
-			}
-		}
-		if patched < 20 {
-			t.Fatalf("seed %d: only %d/30 iterations patched — the fast path is not engaging", seed, patched)
-		}
-	}
-}
-
-func TestIncrementalPatchDeterminism(t *testing.T) {
-	cfg := incCell(t)
-	run := func() []*Result {
-		rng := rand.New(rand.NewSource(7))
-		batch := sampleBatch(cfg, rng, 0.8)
-		p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.3})
-		out := make([]*Result, 0, 12)
-		nextID := 1 << 20
-		for it := 0; it < 12; it++ {
-			res, _ := mustPlan(t, p, cfg, batch)
-			out = append(out, res)
-			batch, nextID = mutate(batch, rng, 0.06, nextID)
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if !samePlanStructure(a[i].Plan, b[i].Plan) {
-			t.Fatalf("iteration %d: plans differ across identical runs", i)
-		}
-	}
-}
-
-// samePlanStructure compares two plans' local lists and rings exactly.
-func samePlanStructure(a, b *seq.Plan) bool {
-	if a.World != b.World || len(a.Rings) != len(b.Rings) {
-		return false
-	}
-	for r := range a.Local {
-		if len(a.Local[r]) != len(b.Local[r]) {
-			return false
-		}
-		for i := range a.Local[r] {
-			if a.Local[r][i] != b.Local[r][i] {
-				return false
-			}
-		}
-	}
-	for i := range a.Rings {
-		ra, rb := a.Rings[i], b.Rings[i]
-		if ra.Seq != rb.Seq || ra.Zone != rb.Zone || len(ra.Ranks) != len(rb.Ranks) {
-			return false
-		}
-		for j := range ra.Ranks {
-			if ra.Ranks[j] != rb.Ranks[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func TestIncrementalCacheEviction(t *testing.T) {
@@ -228,60 +133,58 @@ func TestIncrementalCacheEviction(t *testing.T) {
 	}
 }
 
-// TestIncrementalHealthInvalidation pins the fault-arrival rule: a change
-// in the effective-speed view (straggler onset or clearing) must force a
-// full solve even when the batch barely changed.
+// TestIncrementalHealthInvalidation pins the fault-arrival rule: a
+// change in the effective-speed view (straggler onset, a moved
+// straggler) must force a full solve even for a batch the cache holds,
+// and clearing the fault serves the healthy plan again.
 func TestIncrementalHealthInvalidation(t *testing.T) {
 	cfg := incCell(t)
 	rng := rand.New(rand.NewSource(13))
 	batch := sampleBatch(cfg, rng, 0.8)
-	p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.3})
-	mustPlan(t, p, cfg, batch)
-
-	// Same-view small delta patches...
-	next, nextID := mutate(batch, rng, 0.04, 1<<20)
-	if _, st := mustPlan(t, p, cfg, next); st.Mode != PlanPatched {
-		t.Fatalf("healthy small delta planned as %s, want patched", st.Mode)
+	p := NewIncremental(IncrementalConfig{})
+	healthy, _ := mustPlan(t, p, cfg, batch)
+	if _, st := mustPlan(t, p, cfg, batch); st.Mode != PlanCached {
+		t.Fatalf("healthy repeat planned as %s, want cached", st.Mode)
 	}
 
-	// ...but the same delta under a new straggler view must full-solve.
-	degraded := cfg
-	degraded.Speeds = make([]float64, cfg.Cluster.World())
-	for i := range degraded.Speeds {
-		degraded.Speeds[i] = 1
+	straggler := func(rank int) Config {
+		c := cfg
+		c.Speeds = make([]float64, cfg.Cluster.World())
+		for i := range c.Speeds {
+			c.Speeds[i] = 1
+		}
+		c.Speeds[rank] = 0.4
+		return c
 	}
-	degraded.Speeds[3] = 0.4
-	next, nextID = mutate(next, rng, 0.04, nextID)
-	res, st, err := p.Plan(degraded, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Mode != PlanFull {
+	degraded := straggler(3)
+	if _, st := mustPlan(t, p, degraded, batch); st.Mode != PlanFull {
 		t.Fatalf("straggler onset planned as %s, want full", st.Mode)
 	}
-	if err := res.Plan.Validate(next); err != nil {
-		t.Fatal(err)
+	if _, st := mustPlan(t, p, degraded, batch); st.Mode != PlanCached {
+		t.Fatalf("stable degraded view planned as %s, want cached", st.Mode)
+	}
+	if _, st := mustPlan(t, p, straggler(5), batch); st.Mode != PlanFull {
+		t.Fatalf("moved straggler planned as %s, want full", st.Mode)
 	}
 
-	// Under the unchanged degraded view, patching resumes (speed-aware
-	// greedy placement).
-	next, _ = mutate(next, rng, 0.04, nextID)
-	if _, st := mustPlan(t, p, degraded, next); st.Mode != PlanPatched {
-		t.Fatalf("stable degraded view planned as %s, want patched", st.Mode)
-	}
-
-	// Fault clearing (back to nil speeds) invalidates again.
-	if _, st := mustPlan(t, p, cfg, next); st.Mode != PlanFull {
-		t.Fatalf("fault clearing planned as %s, want full", st.Mode)
+	// Fault clearing (back to nil speeds) is the healthy view again.
+	res, st := mustPlan(t, p, cfg, batch)
+	if st.Mode != PlanCached || res != healthy {
+		t.Fatalf("fault clearing: mode %s, same plan %v; want the cached healthy plan", st.Mode, res == healthy)
 	}
 }
 
+// TestIncrementalResizeInvalidation: an elastic resize or a capacity
+// change keys a different plan, so a cached batch is solved in full.
 func TestIncrementalResizeInvalidation(t *testing.T) {
 	cfg := incCell(t)
 	rng := rand.New(rand.NewSource(19))
 	batch := sampleBatch(cfg, rng, 0.4)
-	p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.5})
+	p := NewIncremental(IncrementalConfig{})
 	mustPlan(t, p, cfg, batch)
+	if _, st := mustPlan(t, p, cfg, batch); st.Mode != PlanCached {
+		t.Fatalf("unchanged repeat planned as %s, want cached", st.Mode)
+	}
 
 	shrunk := Config{Cluster: cluster.MustNew(cluster.ClusterA, 2), CapacityTokens: cfg.CapacityTokens}
 	if _, st := mustPlan(t, p, shrunk, batch); st.Mode != PlanFull {
@@ -295,23 +198,34 @@ func TestIncrementalResizeInvalidation(t *testing.T) {
 	}
 }
 
-// TestIncrementalLongArrivalFallsBack: an arrival at or above the intra
-// threshold needs the ring machinery, so the patch declines.
-func TestIncrementalLongArrivalFallsBack(t *testing.T) {
-	cfg := incCell(t)
-	rng := rand.New(rand.NewSource(23))
-	batch := sampleBatch(cfg, rng, 0.5)
-	p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.9})
-	res, _ := mustPlan(t, p, cfg, batch)
-	minS0 := cfg.CapacityTokens
-	for _, s0 := range res.S0 {
-		if s0 < minS0 {
-			minS0 = s0
-		}
+// TestIncrementalCacheDistinguishesNodeSplit: a 2×8 and a 4×4 cluster
+// share a world of 16 but bucket sequences differently, so the planner's
+// own cache must never serve one shape's plan to the other — not even
+// when their keys collide. The key is forced equal to model a collision.
+func TestIncrementalCacheDistinguishesNodeSplit(t *testing.T) {
+	spec44 := cluster.ClusterA
+	spec44.GPUsPerNode = 4
+	spec44.NICsPerNode = 2
+	cfg28 := Config{Cluster: cluster.MustNew(cluster.ClusterA, 2), CapacityTokens: 5120}
+	cfg44 := Config{Cluster: cluster.MustNew(spec44, 4), CapacityTokens: 5120}
+	batch := sampleBatch(cfg28, rand.New(rand.NewSource(11)), 0.8)
+
+	part, err := New(cfg28)
+	if err != nil {
+		t.Fatal(err)
 	}
-	long := append(append([]seq.Sequence(nil), batch...), seq.Sequence{ID: 1 << 20, Len: minS0})
-	if _, st := mustPlan(t, p, cfg, long); st.Mode != PlanFull {
-		t.Fatalf("ring-zone arrival planned as %s, want full", st.Mode)
+	res, err := part.Plan(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewIncremental(IncrementalConfig{})
+	const key = 42
+	p.cache.put(key, cfg28, batch, res)
+	if got := p.cache.get(key, cfg28, batch); got != res {
+		t.Fatal("2x8 lookup missed its own entry")
+	}
+	if got := p.cache.get(key, cfg44, batch); got != nil {
+		t.Fatal("4x4 lookup under a colliding key returned the 2x8 plan")
 	}
 }
 
@@ -319,7 +233,7 @@ func TestIncrementalReset(t *testing.T) {
 	cfg := incCell(t)
 	rng := rand.New(rand.NewSource(29))
 	batch := sampleBatch(cfg, rng, 0.8)
-	p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.3})
+	p := NewIncremental(IncrementalConfig{})
 	mustPlan(t, p, cfg, batch)
 	p.Reset()
 	if c := p.Counters(); c.Plans() != 0 {
@@ -327,38 +241,5 @@ func TestIncrementalReset(t *testing.T) {
 	}
 	if _, st := mustPlan(t, p, cfg, batch); st.Mode != PlanFull {
 		t.Fatalf("post-Reset plan mode = %s, want full", st.Mode)
-	}
-}
-
-// TestIncrementalPatchedEqualsCachedOnRepeat: a batch planned by patching
-// and then repeated verbatim must come back from the cache as the very
-// same plan (patched plans are first-class cache entries).
-func TestIncrementalPatchRepeatCached(t *testing.T) {
-	cfg := incCell(t)
-	rng := rand.New(rand.NewSource(31))
-	batch := sampleBatch(cfg, rng, 0.8)
-	p := NewIncremental(IncrementalConfig{MaxDeltaFrac: 0.3})
-	mustPlan(t, p, cfg, batch)
-	// An explicitly tiny delta: drop the shortest sequence, add two
-	// small arrivals of the same total.
-	shortest := 0
-	for i, s := range batch {
-		if s.Len < batch[shortest].Len {
-			shortest = i
-		}
-	}
-	dropped := batch[shortest].Len
-	next := append(append([]seq.Sequence(nil), batch[:shortest]...), batch[shortest+1:]...)
-	next = append(next, seq.Sequence{ID: 1 << 20, Len: (dropped + 1) / 2}, seq.Sequence{ID: 1<<20 + 1, Len: dropped / 2})
-	for len(next) > 0 && next[len(next)-1].Len == 0 {
-		next = next[:len(next)-1]
-	}
-	res1, st := mustPlan(t, p, cfg, next)
-	if st.Mode != PlanPatched {
-		t.Fatalf("delta planned as %s, want patched", st.Mode)
-	}
-	res2, st2 := mustPlan(t, p, cfg, next)
-	if st2.Mode != PlanCached || res2 != res1 {
-		t.Fatalf("verbatim repeat of patched batch: mode %s, same=%v", st2.Mode, res1 == res2)
 	}
 }

@@ -16,8 +16,8 @@
 // A Partitioner owns reusable scratch buffers: repeated Plan calls (the
 // per-iteration hot path of streaming campaigns) and the threshold-retry
 // loops inside one call allocate almost nothing beyond the plan they
-// return. The Incremental planner (incremental.go) layers a keyed plan
-// cache and delta patching on top for the re-planning fast path.
+// return. The Incremental planner (incremental.go) layers an exact-key
+// plan cache on top for the re-planning fast path.
 package partition
 
 import (

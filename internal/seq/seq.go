@@ -130,21 +130,8 @@ func NewPlan(world int) *Plan {
 
 // TokensPerRank returns the attention-layout token count of every rank.
 func (p *Plan) TokensPerRank() []int {
-	return p.TokensPerRankInto(nil, nil)
-}
-
-// TokensPerRankInto is TokensPerRank accumulating into dst (zeroed and
-// reused when it has capacity for the world) with share as ring-split
-// scratch, for allocation-free accounting in planner hot paths.
-func (p *Plan) TokensPerRankInto(dst, share []int) []int {
-	if cap(dst) >= p.World {
-		dst = dst[:p.World]
-		for i := range dst {
-			dst[i] = 0
-		}
-	} else {
-		dst = make([]int, p.World)
-	}
+	dst := make([]int, p.World)
+	var share []int
 	for r, ls := range p.Local {
 		for _, s := range ls {
 			dst[r] += s.Len

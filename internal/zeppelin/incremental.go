@@ -1,8 +1,8 @@
 // Incremental planning front-end: the re-planning fast path of the
 // campaign hot loop. It pairs the partition-level incremental planner
-// (keyed plan cache + delta patching) with a keyed cache of remapping
-// solutions, so iterations whose batch or attention layout repeats skip
-// the Eq. 2 solve as well as the hierarchical partitioning pass.
+// (an exact-key plan cache) with a keyed cache of remapping solutions,
+// so iterations whose batch or attention layout repeats skip the Eq. 2
+// solve as well as the hierarchical partitioning pass.
 package zeppelin
 
 import (
@@ -21,12 +21,10 @@ import (
 
 // Incremental is a stateful Zeppelin method: functionally the wrapped
 // configuration, but planning through a persistent incremental planner.
-// In exact mode (MaxDeltaFrac 0) every produced placement is bit-identical
-// to what the stateless Method would build — repeated batches are served
-// from the plan cache, everything else is a full solve — so campaigns
-// over an Incremental method emit identical IterRecord streams. With a
-// positive MaxDeltaFrac, small batch deltas are patched onto the previous
-// plan: cost-equal within tolerance, not bit-identical.
+// Every produced placement is bit-identical to what the stateless Method
+// would build — repeated batches are served from the plan cache,
+// everything else is a full solve — so campaigns over an Incremental
+// method emit identical IterRecord streams.
 //
 // Not safe for concurrent use: one campaign (or one benchmark loop) owns
 // one instance. The campaign layer resets it at Run start so reusing an
@@ -60,9 +58,8 @@ type remapEntry struct {
 }
 
 // NewIncremental wraps a Zeppelin configuration with incremental planning
-// state. The partition.IncrementalConfig tunes the fast path: zero
-// MaxDeltaFrac for exact (campaign-safe) reuse, a positive fraction to
-// allow delta patching.
+// state. The partition.IncrementalConfig sizes the plan cache (the remap
+// cache takes the same bound) and wires an optional shared tier.
 func NewIncremental(m Method, cfg partition.IncrementalConfig) *Incremental {
 	cc := cfg.CacheCap
 	if cc <= 0 {
@@ -76,8 +73,8 @@ func NewIncremental(m Method, cfg partition.IncrementalConfig) *Incremental {
 	}
 }
 
-// FullIncremental is the complete system over an exact-mode incremental
-// planner — the drop-in campaign configuration.
+// FullIncremental is the complete system over an incremental planner —
+// the drop-in campaign configuration.
 func FullIncremental() *Incremental {
 	return NewIncremental(Full(), partition.IncrementalConfig{})
 }
@@ -98,15 +95,15 @@ func (z *Incremental) ResetPlanner() {
 	z.remapHits, z.remapMiss = 0, 0
 }
 
-// PlannerCounters exposes the cumulative fast-path decision counts.
+// PlannerCounters exposes the cumulative plan decision counts.
 func (z *Incremental) PlannerCounters() partition.Counters { return z.planner.Counters() }
 
-// LastStats reports the most recent Plan call's fast-path decision.
+// LastStats reports the most recent Plan call's plan decision.
 func (z *Incremental) LastStats() partition.PlanStats { return z.lastStats }
 
-// LastPlanMode names the most recent Plan call's fast path for decision
-// tracing: "full", "patched", "cached", or "shared" (a cached-mode hit
-// served from the process-wide tier). Implements campaign.PlanModeReporter.
+// LastPlanMode names the most recent Plan call's path for decision
+// tracing: "full", "cached", or "shared" (a cache hit served from the
+// process-wide tier). Implements campaign.PlanModeReporter.
 func (z *Incremental) LastPlanMode() string {
 	if z.lastStats.Shared {
 		return "shared"

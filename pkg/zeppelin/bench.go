@@ -11,7 +11,7 @@ import (
 	"zeppelin/internal/experiments"
 )
 
-// BenchOptions configure a planner fast-path measurement.
+// BenchOptions configure a planner measurement.
 type BenchOptions struct {
 	// Ranks lists the world sizes to measure (multiples of 8); empty
 	// selects 64 and 256.
@@ -21,15 +21,15 @@ type BenchOptions struct {
 	Iters int
 }
 
-// BenchArtifact is a planner fast-path measurement in the shared
+// BenchArtifact is a planner measurement in the shared
 // benchfmt schema — the same JSON shape the CI bench job's BENCH_*.json
 // artifact uses, so one set of tooling reads both.
 type BenchArtifact struct {
 	file *benchfmt.File
 }
 
-// RunPlannerBench measures the planner fast path in-process (the fig15
-// machinery: full solve vs incremental re-planning over a churning
+// RunPlannerBench measures the full partition solve in-process (the
+// fig15 machinery: plan latency and allocations over a churning
 // stream). The context is checked between rank cells.
 func RunPlannerBench(ctx context.Context, o BenchOptions) (*BenchArtifact, error) {
 	if ctx == nil {
@@ -55,28 +55,14 @@ func RunPlannerBench(ctx context.Context, o BenchOptions) (*BenchArtifact, error
 		if err != nil {
 			return nil, err
 		}
-		art.Results = append(art.Results,
-			benchfmt.Result{
-				Name:        fmt.Sprintf("BenchmarkFig15PlanFull/ranks=%d", r),
-				Samples:     1,
-				Iters:       iters,
-				NsPerOp:     cell.Full.P50Micros * 1e3,
-				AllocsPerOp: cell.Full.AllocsPerPlan,
-				Metrics:     map[string]float64{"p95-micros": cell.Full.P95Micros},
-			},
-			benchfmt.Result{
-				Name:        fmt.Sprintf("BenchmarkFig15PlanIncremental/ranks=%d", r),
-				Samples:     1,
-				Iters:       iters,
-				NsPerOp:     cell.Incremental.P50Micros * 1e3,
-				AllocsPerOp: cell.Incremental.AllocsPerPlan,
-				Metrics: map[string]float64{
-					"p95-micros":     cell.Incremental.P95Micros,
-					"speedup-p50-x":  cell.SpeedupP50,
-					"max-cost-ratio": cell.MaxCostRatio,
-					"patched-plans":  float64(cell.Modes.Patched),
-				},
-			})
+		art.Results = append(art.Results, benchfmt.Result{
+			Name:        fmt.Sprintf("BenchmarkFig15PlanFull/ranks=%d", r),
+			Samples:     1,
+			Iters:       iters,
+			NsPerOp:     cell.Full.P50Micros * 1e3,
+			AllocsPerOp: cell.Full.AllocsPerPlan,
+			Metrics:     map[string]float64{"p95-micros": cell.Full.P95Micros},
+		})
 	}
 	// Name-sorted like benchfmt.Parse's output, so this artifact diffs
 	// directly against the CI-produced one.

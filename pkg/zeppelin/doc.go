@@ -9,10 +9,10 @@
 //   - Planner / PlanRequest / PlanResponse — one-shot partition+remap
 //     planning of a sampled batch, with a simulated-iteration readout.
 //     NewPlanner takes functional options; WithIncremental backs it by
-//     the stateful incremental re-planner in exact mode, which serves
-//     exact repeats from its plan cache and never patches (PlanMode is
-//     "full" or "cached"), and WithPlanCache shares a process-wide plan
-//     cache tier. Plans are bit-identical under every option.
+//     the stateful incremental re-planner, which serves exact repeats
+//     from its plan cache (PlanMode is "full" or "cached"), and
+//     WithPlanCache shares a process-wide plan cache tier. Plans are
+//     bit-identical under every option.
 //   - Campaign / CampaignRequest / CampaignEvent — iterator-style
 //     streaming of a multi-iteration campaign: NewCampaign resolves the
 //     request, Start binds a context, and each Next call simulates

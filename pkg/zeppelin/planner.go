@@ -24,7 +24,7 @@ type Planner struct {
 	inc *zep.Incremental
 	// cache is the optional process-wide shared plan tier. Without
 	// WithIncremental, each Zeppelin Plan call probes it through a
-	// call-owned exact-mode planner — concurrent requests never
+	// call-owned incremental planner — concurrent requests never
 	// serialize, and responses stay bit-identical at every cache state.
 	cache *PlanCache
 }
@@ -33,10 +33,10 @@ type Planner struct {
 type PlannerOption func(*Planner)
 
 // WithIncremental backs the planner's Zeppelin plans by the stateful
-// incremental re-planner in exact mode: a repeat of an earlier batch is
-// served from its plan cache instead of re-solved. Plans are
-// bit-identical to the stateless planner's, and responses report
-// PlanMode ("full" or "cached"). Exact mode never delta-patches.
+// incremental re-planner: a repeat of an earlier batch is served from
+// its plan cache instead of re-solved. Plans are bit-identical to the
+// stateless planner's, and responses report PlanMode ("full" or
+// "cached").
 func WithIncremental() PlannerOption {
 	return func(p *Planner) { p.incremental = true }
 }
@@ -74,10 +74,10 @@ func (p *Planner) method(req PlanRequest) (trainer.Method, *zep.Incremental, err
 	}
 	if !p.incremental {
 		if p.cache != nil {
-			// Call-owned exact-mode planner over the shared tier: probes
+			// Call-owned incremental planner over the shared tier: probes
 			// and publishes full solves, holds no cross-call state, and
-			// therefore needs no planner lock. Exact mode keeps the result
-			// bit-identical to the stateless solve.
+			// therefore needs no planner lock. Exact-key reuse keeps the
+			// result bit-identical to the stateless solve.
 			return zep.NewIncremental(zm, partition.IncrementalConfig{
 				Shared: p.cache.sharedTier(),
 			}), nil, nil

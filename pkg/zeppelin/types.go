@@ -308,8 +308,8 @@ type CampaignRequest struct {
 	// error (use a small positive value to approximate free replanning).
 	ReplanCostSec float64 `json:"replan_cost_sec,omitempty"`
 	// Incremental plans Zeppelin through the session-owned incremental
-	// planner (exact mode: results are bit-identical to the stateless
-	// planner, plans are cached and patched instead of re-solved).
+	// planner: results are bit-identical to the stateless planner, and
+	// exact repeats are served from its plan cache instead of re-solved.
 	Incremental bool `json:"incremental,omitempty"`
 	// Autoscale, when non-nil, runs the campaign under the closed-loop
 	// autoscaler: world size follows observed queue depth and
@@ -389,7 +389,7 @@ func (r CampaignRequest) config() (campaign.Config, error) { return r.configWith
 // campaign's planner (always session-owned) probes it for exact
 // full-solve hits and publishes its own, so identical campaign specs
 // running in other sessions — or identical one-shot plan requests —
-// dedupe the partition work. Exact-mode reuse is bit-identical, so the
+// dedupe the partition work. Exact-key reuse is bit-identical, so the
 // event stream is unchanged by cache state.
 func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 	if r.Iters < 1 {
@@ -415,7 +415,7 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 		// The incremental wrapper serves two roles: the request-level
 		// Incremental fast path, and (for any Zeppelin campaign when a
 		// shared tier is wired) the probe/publish front of the
-		// process-wide plan cache. Exact mode either way: bit-identical.
+		// process-wide plan cache. Bit-identical either way.
 		m = zep.NewIncremental(zm, partition.IncrementalConfig{Shared: pc.sharedTier()})
 	}
 	seed := r.Seed
@@ -695,7 +695,7 @@ type DecisionRecord struct {
 	// SinceReplan counts iterations since the partitioner last ran.
 	SinceReplan int `json:"since_replan,omitempty"`
 	// PlanMode is the incremental planner's fast path for placement
-	// records ("full", "patched", "cached", "shared").
+	// records ("full", "cached", "shared").
 	PlanMode string `json:"plan_mode,omitempty"`
 	// Events and World snapshot the fault state (fault campaigns only).
 	Events []string `json:"events,omitempty"`
