@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"testing"
@@ -30,6 +32,25 @@ func near(t *testing.T, what string, got, want float64) {
 	}
 	if diff/want > goldenTol {
 		t.Errorf("%s = %v, want %v (±%.1f%%)", what, got, want, 100*goldenTol)
+	}
+}
+
+// fig12Digest is the sha256 of the full Fig. 12 text rendering: every
+// timeline column and phase statistic of the three traced scenarios. It
+// is also what `zeppelin -seeds 1 fig12` prints, at any -workers count.
+const fig12Digest = "28cb199eb0d990d0787f2142dec7cdd2d8a7e061cb88f1a297524292db5a6886"
+
+// TestFig12TextDigest pins the Fig. 12 rendering byte for byte, so a
+// refactor of the trace path cannot move a single timeline glyph.
+func TestFig12TextDigest(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		var buf bytes.Buffer
+		if err := WriteFig12(&buf, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != fig12Digest {
+			t.Errorf("workers=%d: fig12 digest %s, want %s", workers, got, fig12Digest)
+		}
 	}
 }
 
