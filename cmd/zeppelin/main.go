@@ -11,6 +11,8 @@
 //	zeppelin [-seeds N] [-workers N] tune [-space S] [-budget N] [-weights W] [-json] [...]
 //	zeppelin bench [-ranks R1,R2] [-iters N] [-json]
 //	zeppelin replay [-iters N] [-seed N] [-flip iter=N:decision=replan|reuse] [-json] [...]
+//	zeppelin plan [-model M] [-cluster P] [-nodes N] [-dataset D] [-method M] [-seed N] [-json] [...]
+//	zeppelin trace [-method M] [-lengths L1,L2] [-ranks R1,R2] [-width N] [...]
 //	zeppelin -version
 //
 // where <experiment> is one of: fig1, table2, fig3, fig5, fig8, fig9,
@@ -56,6 +58,13 @@
 // the same flags the campaign subcommand takes, defaulting to the
 // drifting arrival so the threshold controller has verdicts worth
 // flipping.
+//
+// The plan subcommand samples one batch, runs the hierarchical
+// partitioner (Alg. 1 + 2) and the Eq. 2 remap, and prints the placement
+// with the simulated iteration; -json prints the exact /v1/plan body.
+// The trace subcommand simulates one attention layer of a batch and
+// renders its Fig. 12 timeline: the defaults are fig12 scenario (b),
+// and -method tecp is scenario (a).
 package main
 
 import (
@@ -142,6 +151,18 @@ func main() {
 		}
 		return
 	}
+	if args[0] == "plan" {
+		if err := planCmd(os.Stdout, args[1:], *jsonOut); err != nil {
+			fail(err)
+		}
+		return
+	}
+	if args[0] == "trace" {
+		if err := traceCmd(os.Stdout, args[1:]); err != nil {
+			fail(err)
+		}
+		return
+	}
 	if len(args) != 1 {
 		flag.Usage()
 		os.Exit(2)
@@ -178,6 +199,8 @@ func usage() {
        zeppelin [-seeds N] [-workers N] tune [flags]
        zeppelin bench [-ranks R1,R2] [-iters N] [-json]
        zeppelin replay [flags]
+       zeppelin plan [flags]
+       zeppelin trace [flags]
        zeppelin -version
 
 experiments: %s
@@ -209,6 +232,13 @@ bench flags:    -ranks 64,256 (world sizes, multiples of 8)  -iters N
 replay flags:   -iters N  -seed N  -flip iter=N:decision=replan|reuse
                 (plus the campaign cell flags: -arrival, -dataset, -drift,
                 -policy, -threshold, -every, -replan-cost, -faults)  -json
+plan flags:     -model 3B|7B|13B|30B|8x550M  -cluster A|B|C  -nodes N
+                -tokens-per-gpu N  -capacity X  -dataset NAME
+                -method zeppelin|tecp|tecp-routed|llamacp|hybriddp|packing
+                -seed N  -json (the /v1/plan response body)
+trace flags:    the plan flags except -json (default -model 3B), plus
+                -lengths L1,L2 (ignored with -dataset)  -ranks R1,R2
+                (each in [0, world))  -width N
 `, strings.Join(append(zeppelin.Experiments(), "all"), " "))
 	flag.PrintDefaults()
 }
@@ -264,13 +294,14 @@ func benchCmd(w io.Writer, args []string, jsonOut bool) error {
 	if *iters != 0 && *iters < 2 {
 		return usageErrorf("bench: -iters must be >= 2, got %d", *iters)
 	}
-	var ranks []int
-	for _, part := range strings.Split(*ranksFlag, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || r <= 0 {
-			return usageErrorf("bench: bad ranks value %q", part)
+	ranks, err := parseInts("bench", "ranks", *ranksFlag)
+	if err != nil {
+		return err
+	}
+	for _, r := range ranks {
+		if r <= 0 {
+			return usageErrorf("bench: bad ranks value %d", r)
 		}
-		ranks = append(ranks, r)
 	}
 	jsonOut = jsonOut || *subJSON
 
@@ -283,6 +314,98 @@ func benchCmd(w io.Writer, args []string, jsonOut bool) error {
 		return art.WriteJSON(w)
 	}
 	return art.WriteText(w)
+}
+
+// parseInts resolves a comma-separated integer list flag.
+func parseInts(cmd, name, s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, usageErrorf("%s: bad %s value %q", cmd, name, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// ---------------------------------------------------------------------
+// plan and trace subcommands
+// ---------------------------------------------------------------------
+
+// planFlags registers the cell flags plan and trace share, writing them
+// into req; req's Model is the -model default.
+func planFlags(fs *flag.FlagSet, req *zeppelin.PlanRequest) {
+	fs.StringVar(&req.Model, "model", req.Model, "model preset: 3B|7B|13B|30B|8x550M")
+	fs.StringVar(&req.Cluster.Preset, "cluster", "A", "cluster preset: A|B|C")
+	fs.IntVar(&req.Cluster.Nodes, "nodes", 2, "node count")
+	fs.IntVar(&req.Cluster.TokensPerGPU, "tokens-per-gpu", 4096, "per-GPU context budget")
+	fs.Float64Var(&req.Cluster.Capacity, "capacity", 0,
+		"admission capacity factor (per-rank ceiling = capacity × tokens-per-gpu × TP); 0 selects the default (1.25)")
+	fs.StringVar(&req.Dataset, "dataset", "arxiv", "dataset the batch is sampled from")
+	fs.StringVar(&req.Method, "method", "zeppelin", "scheduling method: zeppelin|tecp|tecp-routed|llamacp|hybriddp|packing")
+	fs.Int64Var(&req.Seed, "seed", 0, "batch sampling seed; 0 selects the default (1000)")
+}
+
+// planCmd plans one sampled batch through the public API and prints the
+// placement and simulated iteration; -json prints the exact /v1/plan
+// response body.
+func planCmd(w io.Writer, args []string, jsonOut bool) error {
+	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+	req := zeppelin.PlanRequest{Model: "7B"}
+	planFlags(fs, &req)
+	subJSON := fs.Bool("json", false, "emit the /v1/plan response body as JSON")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return usageErrorf("plan: unexpected arguments %q", fs.Args())
+	}
+	if err := req.Validate(); err != nil {
+		return usageError{err}
+	}
+	resp, err := zeppelin.Plan(context.Background(), req)
+	if err != nil {
+		return err
+	}
+	if jsonOut || *subJSON {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(resp)
+	}
+	resp.WriteText(w)
+	return nil
+}
+
+// traceCmd simulates one attention layer of the planned batch and
+// renders its Fig. 12 timeline; the defaults reproduce fig12 scenario
+// (b), and -method tecp scenario (a).
+func traceCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	req := zeppelin.TraceRequest{PlanRequest: zeppelin.PlanRequest{Model: "3B"}}
+	planFlags(fs, &req.PlanRequest)
+	lengths := fs.String("lengths", "65536", "comma-separated sequence lengths (ignored with -dataset)")
+	ranks := fs.String("ranks", "0,8,12", "comma-separated ranks to render, each in [0, world)")
+	fs.IntVar(&req.Width, "width", 100, "timeline width in columns")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return usageErrorf("trace: unexpected arguments %q", fs.Args())
+	}
+	var err error
+	if !hasFlag(fs, "dataset") {
+		if req.Lengths, err = parseInts("trace", "lengths", *lengths); err != nil {
+			return err
+		}
+	}
+	if req.Ranks, err = parseInts("trace", "ranks", *ranks); err != nil {
+		return err
+	}
+	if err := req.Validate(); err != nil {
+		return usageError{err}
+	}
+	return zeppelin.RenderTrace(context.Background(), w, req)
 }
 
 // ---------------------------------------------------------------------

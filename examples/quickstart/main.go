@@ -7,8 +7,8 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"log"
+	"os"
 
 	"zeppelin/pkg/zeppelin"
 )
@@ -29,19 +29,5 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("planned a %d-sequence, %d-token batch on %d ranks:\n",
-		resp.Seqs, resp.Tokens, resp.World)
-	for rank, tok := range resp.TokensPerRank {
-		fmt.Printf("  rank %2d: %6d tokens\n", rank, tok)
-	}
-	fmt.Printf("\n%s placement:\n", resp.Method)
-	fmt.Printf("  local sequences   %10d\n", resp.LocalSeqs)
-	fmt.Printf("  ring sequences    %10d\n", resp.RingSeqs)
-	fmt.Printf("  imbalance         %10.3f (max/mean tokens per rank)\n", resp.Imbalance)
-	fmt.Printf("  remap transfers   %10d (%d cross-node tokens)\n",
-		resp.RemapTransfers, resp.RemapInterTokens)
-	fmt.Printf("\nsimulated iteration:\n")
-	fmt.Printf("  throughput        %10.0f tokens/s\n", resp.TokensPerSec)
-	fmt.Printf("  iteration time    %10.2f ms\n", resp.IterTimeSec*1e3)
-	fmt.Printf("  host overhead     %10.2f ms\n", resp.HostOverheadSec*1e3)
+	resp.WriteText(os.Stdout)
 }

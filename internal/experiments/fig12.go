@@ -38,18 +38,25 @@ func Fig12Scenarios() []Fig12Scenario {
 	}
 }
 
-// Fig12Trace runs one scenario's attention layer (forward + backward) and
-// returns the collected events.
+// Fig12Trace runs one scenario's attention layer (forward + backward)
+// on the Fig. 12 cell and returns the collected events.
 func Fig12Trace(sc Fig12Scenario) ([]trace.Event, error) {
 	cfg := trainer.Config{
 		Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 2, TP: 1,
 		TokensPerGPU: 4096, Seed: 1,
 	}
+	return TraceAttention(cfg, sc.Method, sc.Batch)
+}
+
+// TraceAttention plans the batch with the method on the cell, simulates
+// one attention layer (forward + backward), and returns the collected
+// events — the Fig. 12 trace methodology on an arbitrary configuration.
+func TraceAttention(cfg trainer.Config, m trainer.Method, batch []seq.Sequence) ([]trace.Event, error) {
 	env, err := cfg.NewEnv()
 	if err != nil {
 		return nil, err
 	}
-	pl, err := sc.Method.Plan(env, sc.Batch)
+	pl, err := m.Plan(env, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -94,13 +101,19 @@ func WriteFig12(w io.Writer, opts Options) error {
 		return err
 	}
 	for _, tr := range traces {
-		events := tr.Events
 		fmt.Fprintf(w, "\n%s\n", tr.Title)
-		trace.Timeline(w, events, []int{0, 8, 12}, 100)
-		fmt.Fprintln(w, "forward phase statistics:")
-		trace.WriteStats(w, trace.Filter(events, "attn-fwd"))
-		fmt.Fprintln(w, "backward phase statistics:")
-		trace.WriteStats(w, trace.Filter(events, "attn-bwd"))
+		WriteAttentionTrace(w, tr.Events, []int{0, 8, 12}, 100)
 	}
 	return nil
+}
+
+// WriteAttentionTrace renders one attention trace: the timeline of the
+// chosen ranks at the given width, then per-kind statistics of the
+// forward and backward phases.
+func WriteAttentionTrace(w io.Writer, events []trace.Event, ranks []int, width int) {
+	trace.Timeline(w, events, ranks, width)
+	fmt.Fprintln(w, "forward phase statistics:")
+	trace.WriteStats(w, trace.Filter(events, "attn-fwd"))
+	fmt.Fprintln(w, "backward phase statistics:")
+	trace.WriteStats(w, trace.Filter(events, "attn-bwd"))
 }

@@ -57,8 +57,6 @@ func (j *Job) identity() string {
 type Options struct {
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// NoMemo disables the config-hash result cache.
-	NoMemo bool
 }
 
 // Engine executes job grids over a bounded worker pool. An Engine is
@@ -66,7 +64,6 @@ type Options struct {
 // cache persists for its lifetime.
 type Engine struct {
 	workers int
-	memoize bool
 
 	mu    sync.Mutex
 	cache map[string]*outcome
@@ -85,7 +82,6 @@ func New(opts Options) *Engine {
 	}
 	return &Engine{
 		workers: w,
-		memoize: !opts.NoMemo,
 		cache:   make(map[string]*outcome),
 	}
 }
@@ -199,7 +195,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*ResultSet, error) {
 	leaderByIdentity := make(map[string]int)
 	for i := range jobs {
 		j := &jobs[i]
-		if !e.memoize || j.SamplerName == "" {
+		if j.SamplerName == "" {
 			leaders = append(leaders, i)
 			continue
 		}
@@ -220,35 +216,12 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*ResultSet, error) {
 		leaders = append(leaders, i)
 	}
 
-	// Fan the leaders across the pool. Workers re-check the context
-	// between jobs so a cancellation mid-grid drains the queue without
-	// starting new simulations.
-	var wg sync.WaitGroup
-	work := make(chan int)
-	workers := min(e.workers, len(leaders))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					continue // drain without executing
-				}
-				outcomes[i] = e.execute(&jobs[i])
-			}
-		}()
-	}
-feed:
-	for _, i := range leaders {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// Fan the leaders across the pool; a cancellation mid-grid starts no
+	// further simulations.
+	if err := ForEach(ctx, e.workers, len(leaders), func(k int) error {
+		outcomes[leaders[k]] = e.execute(&jobs[leaders[k]])
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -300,7 +273,7 @@ func (e *Engine) execute(j *Job) *outcome {
 	batch := j.Config.Batch(j.Sample)
 	res, err := trainer.Run(j.Config, j.Method, batch)
 	o := &outcome{res: res, err: err}
-	if e.memoize && j.SamplerName != "" {
+	if j.SamplerName != "" {
 		e.mu.Lock()
 		e.cache[j.identity()] = o
 		e.mu.Unlock()
@@ -309,10 +282,10 @@ func (e *Engine) execute(j *Job) *outcome {
 }
 
 // ForEach runs fn(0..n-1) across a bounded pool and returns the failure
-// with the lowest index, if any. It is the engine's escape hatch for
-// deterministic fan-out that is not a trainer job — trace generation,
-// dataset sampling — and like Run it never lets pool timing pick which
-// error surfaces.
+// with the lowest index, if any. Run fans its jobs across it, and it
+// serves deterministic fan-out that is not a trainer job — trace
+// generation, dataset sampling. Pool timing never picks which error
+// surfaces.
 //
 // Cancelling ctx stops the fan-out promptly — in-flight fn calls finish,
 // no further indices start — and ForEach returns ctx.Err(); cancellation

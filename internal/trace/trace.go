@@ -98,16 +98,9 @@ func Timeline(w io.Writer, events []Event, ranks []int, width int) {
 		return
 	}
 	scale := float64(width) / (hi - lo)
-	wanted := make(map[int]bool, len(ranks))
-	for _, r := range ranks {
-		wanted[r] = true
-	}
 	kinds := []sim.Kind{sim.KindCompute, sim.KindIntraComm, sim.KindInterComm}
 	fmt.Fprintf(w, "span %.3f ms .. %.3f ms  ('#'=compute '='=intra '~'=inter)\n", lo*1e3, hi*1e3)
 	for _, r := range ranks {
-		if !wanted[r] {
-			continue
-		}
 		for _, k := range kinds {
 			line := make([]byte, width)
 			for i := range line {

@@ -7,12 +7,13 @@
 // The surface is deliberately small and wire-stable:
 //
 //   - Planner / PlanRequest / PlanResponse — one-shot partition+remap
-//     planning of a sampled batch, with a simulated-iteration readout.
-//     NewPlanner takes functional options; WithIncremental backs it by
-//     the stateful incremental re-planner, which serves exact repeats
-//     from its plan cache (PlanMode is "full" or "cached"), and
-//     WithPlanCache shares a process-wide plan cache tier. Plans are
-//     bit-identical under every option.
+//     planning of a sampled batch, with a simulated-iteration readout
+//     (PlanResponse.WriteText renders it for terminals). WithPlanCache
+//     shares a process-wide plan cache tier that serves exact repeats;
+//     plans are bit-identical at every cache state.
+//   - RenderTrace / TraceRequest — one attention layer (forward +
+//     backward) of a planned batch, rendered as the Fig. 12 timeline of
+//     the chosen ranks with per-phase statistics.
 //   - Campaign / CampaignRequest / CampaignEvent — iterator-style
 //     streaming of a multi-iteration campaign: NewCampaign resolves the
 //     request, Start binds a context, and each Next call simulates

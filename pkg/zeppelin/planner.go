@@ -2,7 +2,8 @@ package zeppelin
 
 import (
 	"context"
-	"sync"
+	"fmt"
+	"io"
 
 	"zeppelin/internal/partition"
 	"zeppelin/internal/remap"
@@ -16,38 +17,21 @@ import (
 // simulate the planned iteration end to end. A Planner is safe for
 // concurrent use; plans are deterministic per request.
 type Planner struct {
-	mu          sync.Mutex
-	incremental bool
-	// inc is the session-owned incremental planner, built lazily on the
-	// first Zeppelin plan and reused across calls so repeated or
-	// slightly-churned batches hit its plan cache.
-	inc *zep.Incremental
-	// cache is the optional process-wide shared plan tier. Without
-	// WithIncremental, each Zeppelin Plan call probes it through a
-	// call-owned incremental planner — concurrent requests never
-	// serialize, and responses stay bit-identical at every cache state.
+	// cache is the optional process-wide shared plan tier. Each Zeppelin
+	// Plan call probes it through a call-owned incremental planner, so
+	// concurrent requests never serialize and responses stay
+	// bit-identical at every cache state.
 	cache *PlanCache
 }
 
 // PlannerOption configures NewPlanner.
 type PlannerOption func(*Planner)
 
-// WithIncremental backs the planner's Zeppelin plans by the stateful
-// incremental re-planner: a repeat of an earlier batch is served from
-// its plan cache instead of re-solved. Plans are bit-identical to the
-// stateless planner's, and responses report PlanMode ("full" or
-// "cached").
-func WithIncremental() PlannerOption {
-	return func(p *Planner) { p.incremental = true }
-}
-
 // WithPlanCache shares a process-wide plan cache tier across this
 // planner's Zeppelin plans. Exact repeats of (cluster view, capacity,
 // batch) reuse the solved partition plan instead of re-solving; hits
 // are bit-identical to full solves, so responses are unchanged by cache
-// state. Unlike WithIncremental, cache-backed stateless plans do not
-// serialize concurrent callers and do not report PlanMode (a response
-// must not leak whether the cache was warm). A nil cache is ignored.
+// state. A nil cache is ignored.
 func WithPlanCache(c *PlanCache) PlannerOption {
 	return func(p *Planner) { p.cache = c }
 }
@@ -61,37 +45,16 @@ func NewPlanner(opts ...PlannerOption) *Planner {
 	return p
 }
 
-// method resolves the request's method, swapping in the session-owned
-// incremental planner when enabled and the request asks for Zeppelin.
-func (p *Planner) method(req PlanRequest) (trainer.Method, *zep.Incremental, error) {
-	m, err := methodByID(req.Method)
-	if err != nil {
-		return nil, nil, err
-	}
+// method wraps a Zeppelin method in a call-owned incremental planner
+// over the shared cache tier, when one is configured. It probes and
+// publishes full solves and holds no cross-call state; exact-key reuse
+// keeps the result bit-identical to the stateless solve.
+func (p *Planner) method(m trainer.Method) trainer.Method {
 	zm, ok := m.(zep.Method)
-	if !ok {
-		return m, nil, nil
+	if !ok || p.cache == nil {
+		return m
 	}
-	if !p.incremental {
-		if p.cache != nil {
-			// Call-owned incremental planner over the shared tier: probes
-			// and publishes full solves, holds no cross-call state, and
-			// therefore needs no planner lock. Exact-key reuse keeps the
-			// result bit-identical to the stateless solve.
-			return zep.NewIncremental(zm, partition.IncrementalConfig{
-				Shared: p.cache.sharedTier(),
-			}), nil, nil
-		}
-		return zm, nil, nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inc == nil {
-		p.inc = zep.NewIncremental(zm, partition.IncrementalConfig{
-			Shared: p.cache.sharedTier(),
-		})
-	}
-	return p.inc, p.inc, nil
+	return zep.NewIncremental(zm, partition.IncrementalConfig{Shared: p.cache.sharedTier()})
 }
 
 // planCarrier is implemented by placements that expose their partition
@@ -112,40 +75,20 @@ func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg, dataset, _, err := req.resolve()
+	cfg, dataset, m, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
-	m, inc, err := p.method(req)
-	if err != nil {
-		return nil, err
-	}
+	m = p.method(m)
 	batch := cfg.Batch(dataset.Batch)
 
-	// Only the incremental planner carries shared mutable state; the
-	// stateless path builds a fresh method, env, and batch per call, so
-	// concurrent stateless plans run unserialized.
-	lock := func() {
-		if inc != nil {
-			p.mu.Lock()
-		}
-	}
-	unlock := func() {
-		if inc != nil {
-			p.mu.Unlock()
-		}
-	}
-
 	// Planning pass: build the placement once to read the plan facts.
-	lock()
 	env, err := cfg.NewEnv()
 	if err != nil {
-		unlock()
 		return nil, err
 	}
 	pl, err := m.Plan(env, batch)
 	if err != nil {
-		unlock()
 		return nil, err
 	}
 	resp := &PlanResponse{
@@ -169,10 +112,6 @@ func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, err
 			resp.RemapInterTokens = rp.InterTokens
 		}
 	}
-	if inc != nil {
-		resp.PlanMode = inc.LastStats().Mode.String()
-	}
-	unlock()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -194,4 +133,22 @@ func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, err
 // answering one request.
 func Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
 	return NewPlanner().Plan(ctx, req)
+}
+
+// WriteText renders the response for terminals: the sampled batch, the
+// per-rank token layout, the placement, and the simulated iteration.
+func (r *PlanResponse) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "planned a %d-sequence, %d-token batch on %d ranks:\n", r.Seqs, r.Tokens, r.World)
+	for rank, tok := range r.TokensPerRank {
+		fmt.Fprintf(w, "  rank %2d: %6d tokens\n", rank, tok)
+	}
+	fmt.Fprintf(w, "\n%s placement:\n", r.Method)
+	fmt.Fprintf(w, "  local sequences   %10d\n", r.LocalSeqs)
+	fmt.Fprintf(w, "  ring sequences    %10d\n", r.RingSeqs)
+	fmt.Fprintf(w, "  imbalance         %10.3f (max/mean tokens per rank)\n", r.Imbalance)
+	fmt.Fprintf(w, "  remap transfers   %10d (%d cross-node tokens)\n", r.RemapTransfers, r.RemapInterTokens)
+	fmt.Fprintf(w, "\nsimulated iteration:\n")
+	fmt.Fprintf(w, "  throughput        %10.0f tokens/s\n", r.TokensPerSec)
+	fmt.Fprintf(w, "  iteration time    %10.2f ms\n", r.IterTimeSec*1e3)
+	fmt.Fprintf(w, "  host overhead     %10.2f ms\n", r.HostOverheadSec*1e3)
 }

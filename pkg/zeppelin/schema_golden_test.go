@@ -39,7 +39,6 @@ func canonicalFixtures() map[string]any {
 			RingSeqs:         3,
 			RemapTransfers:   5,
 			RemapInterTokens: 1024,
-			PlanMode:         "patched",
 			IterTimeSec:      1.25,
 			TokensPerSec:     52428.8,
 			HostOverheadSec:  0.0035,

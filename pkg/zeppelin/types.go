@@ -174,6 +174,8 @@ func methodByID(id string) (trainer.Method, error) {
 		return zep.Full(), nil
 	case "tecp":
 		return baselines.TECP{}, nil
+	case "tecprouted":
+		return baselines.TECP{Routed: true}, nil
 	case "llamacp":
 		return baselines.LLaMACP{}, nil
 	case "hybriddp":
@@ -181,7 +183,7 @@ func methodByID(id string) (trainer.Method, error) {
 	case "packing":
 		return baselines.Packing{}, nil
 	}
-	return nil, fmt.Errorf("zeppelin: unknown method %q (want zeppelin|tecp|llamacp|hybriddp|packing)", id)
+	return nil, fmt.Errorf("zeppelin: unknown method %q (want zeppelin|tecp|tecp-routed|llamacp|hybriddp|packing)", id)
 }
 
 // PlanRequest asks for one batch to be sampled, partitioned, and
@@ -270,10 +272,6 @@ type PlanResponse struct {
 	// solution (Zeppelin with the remap layer only).
 	RemapTransfers   int `json:"remap_transfers,omitempty"`
 	RemapInterTokens int `json:"remap_inter_tokens,omitempty"`
-	// PlanMode reports how a WithIncremental planner produced the plan:
-	// "full" (solved) or "cached" (an exact repeat served from its plan
-	// cache). Empty for stateless planners.
-	PlanMode string `json:"plan_mode,omitempty"`
 	// IterTimeSec and TokensPerSec are the simulated end-to-end
 	// iteration readout for the planned batch.
 	IterTimeSec  float64 `json:"iter_time_sec"`

@@ -150,42 +150,54 @@ func TestPlanResponseShape(t *testing.T) {
 	if resp.RemapTransfers == 0 {
 		t.Fatal("full Zeppelin must carry a remap solution")
 	}
-	if resp.PlanMode != "" {
-		t.Fatalf("stateless planner reported plan mode %q", resp.PlanMode)
-	}
 }
 
-// TestIncrementalPlannerReportsMode: repeated plans through an
-// incremental planner come back bit-identical and report cache reuse; a
-// different batch is solved in full, never patched.
-func TestIncrementalPlannerReportsMode(t *testing.T) {
-	p := NewPlanner(WithIncremental())
+// TestPlanCacheRepeatIsBitIdentical: a repeated request through a
+// cache-backed planner is served from the shared tier and marshals to
+// the same bytes as the full solve; a different batch misses.
+func TestPlanCacheRepeatIsBitIdentical(t *testing.T) {
+	cache := NewPlanCache(0)
+	p := NewPlanner(WithPlanCache(cache))
 	first, err := p.Plan(context.Background(), PlanRequest{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if first.PlanMode != "full" {
-		t.Fatalf("first plan mode = %q, want full", first.PlanMode)
 	}
 	second, err := p.Plan(context.Background(), PlanRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.PlanMode != "cached" {
-		t.Fatalf("repeat plan mode = %q, want cached", second.PlanMode)
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("after a repeat: stats %+v, want 1 hit and 1 miss", st)
 	}
-	a, _ := json.Marshal(struct{ A *PlanResponse }{first})
-	b, _ := json.Marshal(struct{ A *PlanResponse }{second})
-	if !bytes.Equal(bytes.ReplaceAll(a, []byte(`"plan_mode":"full"`), nil),
-		bytes.ReplaceAll(b, []byte(`"plan_mode":"cached"`), nil)) {
-		t.Fatal("cached plan differs from the full solve")
+	a, _ := json.Marshal(first)
+	b, _ := json.Marshal(second)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("cached plan differs from the full solve:\n%s\n%s", a, b)
 	}
-	third, err := p.Plan(context.Background(), PlanRequest{Seed: 7})
-	if err != nil {
+	if _, err := p.Plan(context.Background(), PlanRequest{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if third.PlanMode != "full" {
-		t.Fatalf("new-seed plan mode = %q, want full", third.PlanMode)
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("after a new seed: stats %+v, want 1 hit and 2 misses", st)
+	}
+}
+
+// TestTraceRanksFollowPlannedWorld: trace ranks are checked against the
+// planned cluster's world, which tensor parallelism shrinks below the
+// GPU count.
+func TestTraceRanksFollowPlannedWorld(t *testing.T) {
+	tp2 := PlanRequest{Model: "3B", Cluster: ClusterSpec{TP: 2}}
+	if err := (TraceRequest{PlanRequest: tp2, Lengths: []int{8192}, Ranks: []int{0, 7}}).Validate(); err != nil {
+		t.Fatalf("ranks inside the TP=2 world rejected: %v", err)
+	}
+	for _, ranks := range [][]int{{8}, {-1}, nil} {
+		err := TraceRequest{PlanRequest: tp2, Lengths: []int{8192}, Ranks: ranks}.Validate()
+		if err == nil {
+			t.Fatalf("ranks %v accepted on an 8-rank world", ranks)
+		}
+	}
+	if err := (TraceRequest{PlanRequest: tp2, Lengths: []int{0}, Ranks: []int{0}}).Validate(); err == nil {
+		t.Fatal("zero-length sequence accepted")
 	}
 }
 
