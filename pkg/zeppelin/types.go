@@ -199,7 +199,7 @@ type PlanRequest struct {
 	// empty selects "arxiv".
 	Dataset string `json:"dataset,omitempty"`
 	// Method is the scheduling method: "zeppelin" (default), "tecp",
-	// "llamacp", "hybriddp", or "packing".
+	// "tecp-routed", "llamacp", "hybriddp", or "packing".
 	Method string `json:"method,omitempty"`
 	// Seed seeds the batch sampler; 0 selects DefaultSeed.
 	Seed int64 `json:"seed,omitempty"`
