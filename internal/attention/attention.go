@@ -10,6 +10,9 @@
 // the current KV block with the transfer of the next one, and the causal
 // mask's triangular load is balanced with the 2G-chunk scheme (rank i owns
 // chunks i and 2G−1−i), which equalizes every rank's pair count.
+//
+// The ring-round loop itself is Ring, which TE CP's global ring and
+// Hybrid DP's CP groups (internal/baselines) share with the engine.
 package attention
 
 import (
@@ -112,19 +115,15 @@ func (en *Engine) emit(plan *seq.Plan, p pass, deps []*sim.Task) *sim.Task {
 	return done
 }
 
-// emitRing schedules G rounds of ring attention for one sequence group.
-// Round t on rank i computes that rank's query chunks against the KV
-// block received in round t−1, while forwarding the block it already
-// holds to the next rank — the overlap structure of Fig. 6.
+// emitRing schedules one sequence group's ring through Ring, with the
+// 2G-chunk causal balancing: every rank computes an equal share of the
+// triangle each round — or its weighted share when the ring carries
+// speed-aware weights (each rank owns PairShares[i] pairs total, spread
+// over the G rounds; KV circulation stays even). Each round also pays the
+// fixed chunked-execution overhead (sync + softmax rescale + launch).
 func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*sim.Task) {
 	g := ring.G()
 	s := float64(ring.Seq.Len)
-	// 2G-chunk causal balancing: every rank computes an equal share of
-	// the triangle each round — or its weighted share when the ring
-	// carries speed-aware weights (each rank owns PairShares[i] pairs
-	// total, spread over the G rounds; KV circulation stays even). Each
-	// round also pays the fixed chunked-execution overhead (sync +
-	// softmax rescale + launch).
 	perRound := make([]float64, g)
 	if ring.Weights == nil {
 		even := en.CM.AttnTimePairs(model.CausalPairs(s)/float64(g*g))*p.computeMul +
@@ -138,33 +137,46 @@ func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*
 				costmodel.RingRoundOverhead
 		}
 	}
-	blockBytes := en.CM.KVBytes(s/float64(g)) * p.commMul
+	Ring(en.F, en.R, fmt.Sprintf("attn-%s/ring%d", p.name, ring.Seq.ID), ring.Ranks,
+		perRound, en.CM.KVBytes(s/float64(g))*p.commMul, deps, lastComp)
+}
 
-	// have[i] is the task whose completion delivers the KV block rank i
-	// consumes in the current round.
-	have := make([]*sim.Task, g)
+// Ring schedules G = len(ranks) rounds of ring attention and is the one
+// ring-round loop of the simulator: the engine, TE CP's global ring and
+// Hybrid DP's CP groups all emit through it. Round t on ranks[i] computes
+// for perRound[i] seconds against the KV block received in round t−1,
+// while forwarding the block it already holds (blockBytes) to the next
+// rank through r — the overlap structure of Fig. 6. Tasks are labelled
+// "<prefix>/r<t>/kv<src>-><dst>" and "<prefix>/r<t>/comp@<rank>". Every
+// task waits on deps, and lastComp (indexed by rank) chains each rank's
+// compute stream across calls.
+func Ring(f *cluster.Fabric, r *routing.Router, prefix string, ranks []int,
+	perRound []float64, blockBytes float64, deps, lastComp []*sim.Task) {
+	g := len(ranks)
+	// have[i] is the task whose completion delivers the KV block ranks[i]
+	// consumes in the current round; next collects the following round's.
+	// Every rank forwards in every round but the last, so the two buffers
+	// can swap instead of being reallocated.
+	have, next := make([]*sim.Task, g), make([]*sim.Task, g)
+	xDeps := make([]*sim.Task, 0, len(deps)+1)
 	for t := 0; t < g; t++ {
-		next := make([]*sim.Task, g)
-		for i, rank := range ring.Ranks {
+		for i, rank := range ranks {
 			if t < g-1 {
 				// Forward the currently held block while computing on it.
-				dst := ring.Ranks[(i+1)%g]
-				label := fmt.Sprintf("attn-%s/ring%d/r%d/kv%d->%d", p.name, ring.Seq.ID, t, rank, dst)
-				var xDeps []*sim.Task
-				xDeps = append(xDeps, deps...)
+				dst := ranks[(i+1)%g]
+				xDeps = append(xDeps[:0], deps...)
 				if have[i] != nil {
 					xDeps = append(xDeps, have[i])
 				}
-				next[(i+1)%g] = en.R.Transfer(label, rank, dst, blockBytes, xDeps...)
+				next[(i+1)%g] = r.Transfer(fmt.Sprintf("%s/r%d/kv%d->%d", prefix, t, rank, dst),
+					rank, dst, blockBytes, xDeps...)
 			}
-			comp := en.F.ComputeTask(
-				fmt.Sprintf("attn-%s/ring%d/r%d/comp@%d", p.name, ring.Seq.ID, t, rank),
-				rank, perRound[i])
+			comp := f.ComputeTask(fmt.Sprintf("%s/r%d/comp@%d", prefix, t, rank), rank, perRound[i])
 			comp.After(deps...)
 			comp.After(have[i])        // wait for this round's KV block
 			comp.After(lastComp[rank]) // keep the compute stream ordered
 			lastComp[rank] = comp
 		}
-		have = next
+		have, next = next, have
 	}
 }

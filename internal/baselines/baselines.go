@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"zeppelin/internal/attention"
 	"zeppelin/internal/collective"
 	"zeppelin/internal/costmodel"
 	"zeppelin/internal/model"
@@ -25,46 +26,19 @@ import (
 // reorganization (chunking, bookkeeping) shared by the baselines.
 const hostOverheadBase = 0.5e-3
 
-// ringAllRanks emits one pass of balanced ring attention over all ranks
-// for a concatenated batch: G = world rounds, each overlapping the
-// compute on the current KV block with the transfer of the next. Per-rank
-// compute order is chained through lastComp.
-func ringAllRanks(env *trainer.Env, r *routing.Router, label string,
-	pairsTotal, tokensTotal float64, computeMul, commMul float64,
-	lastComp []*sim.Task, deps []*sim.Task) {
-	g := env.C.World()
-	if g == 1 {
-		t := env.F.ComputeTask(label+"/comp", 0, env.CM.AttnTimePairs(pairsTotal)*computeMul)
-		t.After(deps...)
-		t.After(lastComp[0])
-		lastComp[0] = t
-		return
+// evenRing runs attention.Ring over ranks with even 2G-chunk causal
+// balancing: each round every rank computes 1/G² of the pairs causal
+// pairs and forwards a KV block of tokens/G tokens.
+func evenRing(env *trainer.Env, r *routing.Router, prefix string, ranks []int,
+	pairs, tokens, computeMul, commMul float64, lastComp, deps []*sim.Task) {
+	g := len(ranks)
+	d := env.CM.AttnTimePairs(pairs/float64(g*g))*computeMul + costmodel.RingRoundOverhead
+	perRound := make([]float64, g)
+	for i := range perRound {
+		perRound[i] = d
 	}
-	perRound := env.CM.AttnTimePairs(pairsTotal/float64(g*g))*computeMul +
-		costmodel.RingRoundOverhead
-	blockBytes := env.CM.KVBytes(tokensTotal/float64(g)) * commMul
-	have := make([]*sim.Task, g)
-	for t := 0; t < g; t++ {
-		next := make([]*sim.Task, g)
-		for i := 0; i < g; i++ {
-			if t < g-1 {
-				dst := (i + 1) % g
-				var xDeps []*sim.Task
-				xDeps = append(xDeps, deps...)
-				if have[i] != nil {
-					xDeps = append(xDeps, have[i])
-				}
-				next[dst] = r.Transfer(fmt.Sprintf("%s/r%d/kv%d->%d", label, t, i, dst),
-					i, dst, blockBytes, xDeps...)
-			}
-			comp := env.F.ComputeTask(fmt.Sprintf("%s/r%d/comp@%d", label, t, i), i, perRound)
-			comp.After(deps...)
-			comp.After(have[i])
-			comp.After(lastComp[i])
-			lastComp[i] = comp
-		}
-		have = next
-	}
+	attention.Ring(env.F, r, prefix, ranks, perRound,
+		env.CM.KVBytes(tokens/float64(g))*commMul, deps, lastComp)
 }
 
 // batchStats sums tokens, causal pairs, and MoE-weighted tokens.
@@ -145,8 +119,19 @@ func (p *tecpPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*
 	if backward {
 		computeMul, commMul, name = 2.0, 2.0, "attn-bwd/tecp"
 	}
-	lastComp := make([]*sim.Task, env.C.World())
-	ringAllRanks(env, p.router, name, p.pairs, float64(p.tokens), computeMul, commMul, lastComp, deps)
+	g := env.C.World()
+	lastComp := make([]*sim.Task, g)
+	if g == 1 {
+		t := env.F.ComputeTask(name+"/comp", 0, env.CM.AttnTimePairs(p.pairs)*computeMul)
+		t.After(deps...)
+		lastComp[0] = t
+	} else {
+		ranks := make([]int, g)
+		for i := range ranks {
+			ranks[i] = i
+		}
+		evenRing(env, p.router, name, ranks, p.pairs, float64(p.tokens), computeMul, commMul, lastComp, deps)
+	}
 	done := env.E.Barrier(name+"/done", 0)
 	done.After(deps...)
 	for _, t := range lastComp {
@@ -195,12 +180,6 @@ type llamaPlacement struct {
 	pairs, wTokens float64
 }
 
-// allGatherEff is the fraction of aggregate link bandwidth an optimized
-// NCCL all-gather achieves in practice on RoCE fabrics (bus-bandwidth
-// measurements typically land between 0.45 and 0.65). Calibrated so that
-// LLaMA CP's speedup over TE CP matches the paper's 1.45–1.65× band.
-const allGatherEff = 0.55
-
 // emitAllGather models an optimized NCCL all-gather of the full KV set
 // via the collective substrate. The returned barrier gates attention
 // compute (no overlap — this is the critical-path cost the paper's
@@ -208,7 +187,7 @@ const allGatherEff = 0.55
 func (p *llamaPlacement) emitAllGather(env *trainer.Env, label string, volMul float64, deps []*sim.Task) *sim.Task {
 	world := env.C.World()
 	perRank := env.CM.KVBytes(float64(p.tokens)) * volMul / float64(world)
-	return collective.AllGather(env.F, collective.Config{Eff: allGatherEff}, label, perRank, deps...)
+	return collective.AllGather(env.F, label, perRank, deps...)
 }
 
 func (p *llamaPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
@@ -346,8 +325,7 @@ type hybridPlacement struct {
 // affinity the routing layer would break).
 func (p *hybridPlacement) emitGroupRing(env *trainer.Env, name string, a assignment,
 	computeMul, commMul float64, lastComp []*sim.Task, deps []*sim.Task) {
-	g := len(a.ranks)
-	if g == 1 {
+	if len(a.ranks) == 1 {
 		rank := a.ranks[0]
 		t := env.F.ComputeTask(fmt.Sprintf("%s/dp-seq%d@%d", name, a.s.ID, rank),
 			rank, env.CM.CausalAttnTime(float64(a.s.Len))*computeMul)
@@ -356,34 +334,8 @@ func (p *hybridPlacement) emitGroupRing(env *trainer.Env, name string, a assignm
 		lastComp[rank] = t
 		return
 	}
-	pairs := model.CausalPairs(float64(a.s.Len))
-	perRound := env.CM.AttnTimePairs(pairs/float64(g*g))*computeMul +
-		costmodel.RingRoundOverhead
-	blockBytes := env.CM.KVBytes(float64(a.s.Len)/float64(g)) * commMul
-	have := make([]*sim.Task, g)
-	for t := 0; t < g; t++ {
-		next := make([]*sim.Task, g)
-		for i, rank := range a.ranks {
-			if t < g-1 {
-				dst := a.ranks[(i+1)%g]
-				var xDeps []*sim.Task
-				xDeps = append(xDeps, deps...)
-				if have[i] != nil {
-					xDeps = append(xDeps, have[i])
-				}
-				next[(i+1)%g] = p.router.Transfer(
-					fmt.Sprintf("%s/cp-seq%d/r%d/kv%d->%d", name, a.s.ID, t, rank, dst),
-					rank, dst, blockBytes, xDeps...)
-			}
-			comp := env.F.ComputeTask(
-				fmt.Sprintf("%s/cp-seq%d/r%d/comp@%d", name, a.s.ID, t, rank), rank, perRound)
-			comp.After(deps...)
-			comp.After(have[i])
-			comp.After(lastComp[rank])
-			lastComp[rank] = comp
-		}
-		have = next
-	}
+	evenRing(env, p.router, fmt.Sprintf("%s/cp-seq%d", name, a.s.ID), a.ranks,
+		model.CausalPairs(float64(a.s.Len)), float64(a.s.Len), computeMul, commMul, lastComp, deps)
 }
 
 func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {

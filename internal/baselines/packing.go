@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"zeppelin/internal/collective"
 	"zeppelin/internal/model"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/sim"
@@ -84,39 +85,17 @@ type packingPlacement struct {
 
 // emitUlyssesAllToAll exchanges each rank's activation shard with the
 // group (sequence-partition ↔ head-partition switch). Volume per rank is
-// width × tokens/world × (world−1)/world; the cross-node fraction rides
-// the rank's NIC.
+// width × tokens/world × (world−1)/world, which is zero — so nothing is
+// emitted — on a one-rank world.
 func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label string, widths float64, mul float64, deps []*sim.Task) *sim.Task {
-	c := env.C
-	world := c.World()
-	done := env.E.Barrier(label+"/done", 0)
-	done.After(deps...)
-	if world == 1 {
-		return done
-	}
+	world := env.C.World()
 	perRank := widths * env.CM.ActBytes(float64(p.tokens)/float64(world)) *
 		float64(world-1) / float64(world) * mul
-	crossFrac := 0.0
-	if c.Nodes > 1 {
-		crossFrac = float64(c.Nodes-1) / float64(c.Nodes)
+	vol := make([]float64, world)
+	for rank := range vol {
+		vol[rank] = perRank
 	}
-	for rank := 0; rank < world; rank++ {
-		if crossFrac > 0 {
-			nic := c.NICOf(rank)
-			tx := env.E.Transfer(fmt.Sprintf("%s/tx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICSend[nic], perRank*crossFrac)
-			tx.After(deps...)
-			rx := env.E.Transfer(fmt.Sprintf("%s/rx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICRecv[nic], perRank*crossFrac)
-			rx.After(deps...)
-			done.After(tx, rx)
-		}
-		intra := env.E.Transfer(fmt.Sprintf("%s/nvs@%d", label, rank),
-			sim.KindIntraComm, rank, env.F.IntraSend[rank], perRank*(1-crossFrac))
-		intra.After(deps...)
-		done.After(intra)
-	}
-	return done
+	return collective.AllToAll(env.F, label, vol, deps...)
 }
 
 func (p *packingPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {

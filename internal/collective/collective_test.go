@@ -20,7 +20,7 @@ func TestAllGatherSingleRankFree(t *testing.T) {
 	}
 	e1 := sim.NewEngine()
 	f1 := cluster.NewFabric(e1, cluster.MustNew(one, 1))
-	AllGather(f1, Config{}, "ag", 1e9)
+	AllGather(f1, "ag", 1e9)
 	mk, err := e1.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestAllGatherSingleRankFree(t *testing.T) {
 
 func TestAllGatherZeroBytesFree(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 2)
-	AllGather(f, Config{}, "ag", 0)
+	AllGather(f, "ag", 0)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestAllGatherZeroBytesFree(t *testing.T) {
 
 func TestAllGatherUsesAllNICs(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 2)
-	AllGather(f, Config{}, "ag", 1e8)
+	AllGather(f, "ag", 1e8)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestAllGatherUsesAllNICs(t *testing.T) {
 func TestAllGatherBandwidthModel(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 2)
 	per := 1e8
-	AllGather(f, Config{Eff: 1.0}, "ag", per)
+	AllGather(f, "ag", per)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := per * 16
-	// Cross-node share at full efficiency over 4 NICs per node.
-	wantInter := total * 0.5 / (4 * f.C.NICBandwidth)
+	// Cross-node share at the all-gather efficiency over 4 NICs per node.
+	wantInter := total * 0.5 / allGatherEff / (4 * f.C.NICBandwidth)
 	wantIntra := total * 15 / 16 / 0.8 / f.C.IntraBandwidth
 	want := wantInter
 	if wantIntra > want {
@@ -73,67 +73,6 @@ func TestAllGatherBandwidthModel(t *testing.T) {
 	}
 	if mk < want*0.9 || mk > want*1.5 {
 		t.Fatalf("all-gather time %v, expected ~%v", mk, want)
-	}
-}
-
-func TestAllGatherEffSlowsDown(t *testing.T) {
-	run := func(eff float64) float64 {
-		e, f := fab(t, cluster.ClusterA, 2)
-		AllGather(f, Config{Eff: eff}, "ag", 1e8)
-		mk, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mk
-	}
-	if run(0.5) <= run(1.0) {
-		t.Fatal("lower efficiency must slow the collective")
-	}
-}
-
-func TestAllReduceIsTwoPhases(t *testing.T) {
-	e, f := fab(t, cluster.ClusterA, 2)
-	AllReduce(f, Config{}, "ar", 1e8)
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, f2 := fab(t, cluster.ClusterA, 2)
-	AllGather(f2, Config{}, "ag", 1e8)
-	mk2, err := e2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk < 1.8*mk2 || mk > 2.2*mk2 {
-		t.Fatalf("all-reduce %v should be ~2x all-gather %v", mk, mk2)
-	}
-}
-
-func TestBroadcastReachesAllNodes(t *testing.T) {
-	e, f := fab(t, cluster.ClusterA, 2)
-	Broadcast(f, Config{}, "bc", 0, 1e8)
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk <= 0 {
-		t.Fatal("broadcast should take time")
-	}
-	// Root's NIC must carry the cross-node copy.
-	if f.NICSend[f.C.NICOf(0)].BusyTime == 0 {
-		t.Fatal("broadcast did not cross nodes")
-	}
-}
-
-func TestBroadcastZeroFree(t *testing.T) {
-	e, f := fab(t, cluster.ClusterA, 2)
-	Broadcast(f, Config{}, "bc", 0, 0)
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk != 0 {
-		t.Fatal("zero-byte broadcast should be free")
 	}
 }
 
@@ -168,14 +107,46 @@ func TestAllToAllVParallelism(t *testing.T) {
 	}
 }
 
-func TestChannelOverride(t *testing.T) {
-	// Fewer channels concentrate traffic on fewer NICs.
+func TestAllToAllSkipsEmptyRanks(t *testing.T) {
+	// Two nodes: rank 3 has no volume and must emit no task at all.
 	e, f := fab(t, cluster.ClusterA, 2)
-	AllGather(f, Config{Channels: 1}, "ag", 1e8)
+	vol := make([]float64, f.C.World())
+	for r := range vol {
+		vol[r] = 1e6
+	}
+	vol[3] = 0
+	AllToAll(f, "a2a", vol)
+	perRank := map[int]int{}
+	for _, tk := range e.Tasks() {
+		if tk.Kind != sim.KindBarrier {
+			perRank[tk.Rank]++
+		}
+	}
+	if perRank[3] != 0 {
+		t.Fatalf("zero-volume rank emitted %d tasks", perRank[3])
+	}
+	if perRank[0] != 3 { // tx, rx and nvs
+		t.Fatalf("rank 0 emitted %d tasks, want 3", perRank[0])
+	}
+
+	// One node: no volume crosses a NIC.
+	e, f = fab(t, cluster.ClusterA, 1)
+	vol = make([]float64, f.C.World())
+	for r := range vol {
+		vol[r] = 1e6
+	}
+	AllToAll(f, "a2a", vol)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.NICSend[1].BusyTime != 0 {
-		t.Fatal("single-channel all-gather should use only NIC 0 per node")
+	for _, tk := range e.Tasks() {
+		if tk.Kind == sim.KindInterComm {
+			t.Fatalf("one-node all-to-all emitted NIC task %q", tk.Label)
+		}
+	}
+	for nic := range f.NICSend {
+		if f.NICSend[nic].BusyTime != 0 || f.NICRecv[nic].BusyTime != 0 {
+			t.Fatalf("NIC %d busy in a one-node all-to-all", nic)
+		}
 	}
 }

@@ -27,26 +27,15 @@ const RoutedInterEff = 0.5
 // router the single switch for the Fig. 11 "w/ Routing" ablation.
 type Router struct {
 	F *cluster.Fabric
-	// Enabled selects three-step routing for cross-node transfers.
+	// Enabled selects three-step routing for cross-node transfers. Every
+	// GPU of a node serves as a proxy, and senders pair with receivers
+	// one-to-one (x1 = x2 in Eq. 1).
 	Enabled bool
-	// Proxies caps the number of proxy ranks per node; 0 means all GPUs
-	// of the node serve as proxies (the paper pairs senders and receivers
-	// one-to-one, x1 = x2).
-	Proxies int
 }
 
 // New builds a router over a fabric.
 func New(f *cluster.Fabric, enabled bool) *Router {
 	return &Router{F: f, Enabled: enabled}
-}
-
-// proxyCount resolves the effective number of proxies per node.
-func (r *Router) proxyCount() int {
-	p := r.F.C.GPUsPerNode
-	if r.Proxies > 0 && r.Proxies < p {
-		return r.Proxies
-	}
-	return p
 }
 
 // Transfer moves bytes from src to dst rank, returning the task that
@@ -58,7 +47,7 @@ func (r *Router) Transfer(label string, src, dst int, bytes float64, deps ...*si
 	if !r.Enabled || src == dst || c.SameNode(src, dst) || bytes <= 0 {
 		return r.F.Send(label, src, dst, bytes, deps...)
 	}
-	x := r.proxyCount()
+	x := c.GPUsPerNode
 	srcNode, dstNode := c.NodeOf(src), c.NodeOf(dst)
 	srcRanks, dstRanks := c.RanksOfNode(srcNode), c.RanksOfNode(dstNode)
 

@@ -23,7 +23,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is simulated time in seconds.
@@ -384,16 +383,6 @@ func (e *Engine) RankSpans() map[int][2]Time {
 		out[t.Rank] = sp
 	}
 	return out
-}
-
-// SortedRanks returns the sorted rank ids present in a span map.
-func SortedRanks(spans map[int][2]Time) []int {
-	ranks := make([]int, 0, len(spans))
-	for r := range spans {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // AlmostEqual reports whether two times are equal within a small tolerance,

@@ -237,8 +237,8 @@ func TestRankSpans(t *testing.T) {
 	if spans[0][0] != 0 || spans[0][1] != 5 {
 		t.Fatalf("rank 0 span = %v, want [0,5]", spans[0])
 	}
-	if got := SortedRanks(spans); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("sorted ranks = %v", got)
+	if len(spans) != 2 || spans[1][0] != 0 || spans[1][1] != 3 {
+		t.Fatalf("spans = %v, want rank 0 [0,5] and rank 1 [0,3]", spans)
 	}
 }
 

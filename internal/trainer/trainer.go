@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"zeppelin/internal/cluster"
+	"zeppelin/internal/collective"
 	"zeppelin/internal/costmodel"
 	"zeppelin/internal/model"
 	"zeppelin/internal/seq"
@@ -314,8 +315,16 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 	start := env.E.Barrier(label+"/start", 0)
 	start.After(deps...)
 	gate := start
+	// MoE expert-parallel all-to-all volume: each rank exchanges TopK
+	// routed copies of its tokens' activations with the rest of the world
+	// (ranks without tokens exchange nothing). Nil for dense models.
+	var moeVol []float64
 	if env.CM.MC.MoE {
-		gate = emitMoEAllToAll(env, label+"/dispatch", eff, mul, start)
+		moeVol = make([]float64, len(eff))
+		for rank, e := range eff {
+			moeVol[rank] = e * float64(env.CM.MC.TopK) * env.CM.ActBytes(1) * mul
+		}
+		gate = collective.AllToAll(env.F, label+"/dispatch", moeVol, start)
 	}
 	done := env.E.Barrier(label+"/compute-done", 0)
 	done.After(gate)
@@ -333,44 +342,8 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 		}
 		done.After(prev)
 	}
-	if env.CM.MC.MoE {
-		return emitMoEAllToAll(env, label+"/combine", eff, mul, done)
-	}
-	return done
-}
-
-// emitMoEAllToAll models one expert-parallel all-to-all: each rank
-// exchanges TopK routed copies of its tokens' activations with the rest
-// of the world; the cross-node fraction rides the rank's NIC and the rest
-// crosses NVSwitch.
-func emitMoEAllToAll(env *Env, label string, eff []float64, mul float64, dep *sim.Task) *sim.Task {
-	mc := env.CM.MC
-	c := env.C
-	done := env.E.Barrier(label+"/done", 0)
-	done.After(dep)
-	for rank := 0; rank < c.World(); rank++ {
-		if eff[rank] <= 0 {
-			continue
-		}
-		vol := eff[rank] * float64(mc.TopK) * env.CM.ActBytes(1) * mul
-		crossFrac := 0.0
-		if c.Nodes > 1 {
-			crossFrac = float64(c.Nodes-1) / float64(c.Nodes)
-		}
-		if crossFrac > 0 {
-			nic := c.NICOf(rank)
-			tx := env.E.Transfer(fmt.Sprintf("%s/tx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICSend[nic], vol*crossFrac)
-			tx.After(dep)
-			rx := env.E.Transfer(fmt.Sprintf("%s/rx@%d", label, rank),
-				sim.KindInterComm, rank, env.F.NICRecv[nic], vol*crossFrac)
-			rx.After(dep)
-			done.After(tx, rx)
-		}
-		intra := env.E.Transfer(fmt.Sprintf("%s/nvs@%d", label, rank),
-			sim.KindIntraComm, rank, env.F.IntraSend[rank], vol*(1-crossFrac))
-		intra.After(dep)
-		done.After(intra)
+	if moeVol != nil {
+		return collective.AllToAll(env.F, label+"/combine", moeVol, done)
 	}
 	return done
 }

@@ -10,11 +10,9 @@ import (
 	"hash/maphash"
 	"math"
 
-	"zeppelin/internal/attention"
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/partition"
 	"zeppelin/internal/remap"
-	"zeppelin/internal/routing"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
 )
@@ -114,54 +112,21 @@ func (z *Incremental) LastPlanMode() string {
 // RemapCacheStats reports (hits, misses) of the remap-solution cache.
 func (z *Incremental) RemapCacheStats() (hits, misses int) { return z.remapHits, z.remapMiss }
 
-// Plan is Method.Plan through the incremental fast path.
+// Plan is Method.Plan through the incremental fast path: the partition
+// comes from the plan cache or a full solve, the remap from remapFor.
 func (z *Incremental) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("zeppelin: empty batch")
 	}
-	var speeds []float64
-	if env.Health.Degraded() {
-		speeds = env.Health.Speeds(env.C.World())
-	}
-	res, st, err := z.planner.Plan(partition.Config{
-		Cluster:        env.C,
-		CapacityTokens: env.CapacityTokens,
-		Speeds:         speeds,
-	}, batch)
+	cfg := partitionConfig(env)
+	res, st, err := z.planner.Plan(cfg, batch)
 	if err != nil {
 		return nil, err
 	}
 	z.lastStats = st
 	// Cache hits were validated when first solved; revalidating every
 	// reuse would put the O(n) conservation check back on the fast path.
-	if st.Mode != partition.PlanCached {
-		if err := res.Plan.Validate(batch); err != nil {
-			return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
-		}
-	}
-	pl := &placement{
-		m:      z.m,
-		plan:   res.Plan,
-		batch:  batch,
-		engine: attention.New(env.F, routing.New(env.F, z.m.Routing), env.CM),
-	}
-	if z.m.Remap {
-		bytesPerToken := env.CM.ActBytes(1)
-		bIntra := bytesPerToken / env.C.IntraBandwidth
-		bInter := bytesPerToken / env.C.NICBandwidth
-		tokens := res.Plan.TokensPerRank()
-		var target []int
-		if speeds != nil {
-			target = remap.WeightedTarget(tokens, speeds)
-		}
-		rp, rev, err := z.remapFor(tokens, target, env.C, bIntra, bInter)
-		if err != nil {
-			return nil, err
-		}
-		pl.remapPlan = rp
-		pl.reverse = rev
-	}
-	return pl, nil
+	return z.m.build(env, batch, res.Plan, cfg.Speeds, st.Mode != partition.PlanCached, z.remapFor)
 }
 
 // remapFor returns the Eq. 2 solution for a layout, reusing the keyed
@@ -187,11 +152,10 @@ func (z *Incremental) remapFor(tokens, target []int, c *cluster.Cluster, bIntra,
 		return z.remapCache[0].plan, z.remapCache[0].reverse, nil
 	}
 	z.remapMiss++
-	rp, err := remap.SolveTarget(tokens, target, c, bIntra, bInter)
+	rp, rev, err := solveRemap(tokens, target, c, bIntra, bInter)
 	if err != nil {
 		return nil, nil, err
 	}
-	rev := reversePlan(rp)
 	e := remapEntry{
 		key:     key,
 		nodes:   c.Nodes,

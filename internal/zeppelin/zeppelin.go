@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"zeppelin/internal/attention"
+	"zeppelin/internal/cluster"
 	"zeppelin/internal/partition"
 	"zeppelin/internal/remap"
 	"zeppelin/internal/routing"
@@ -58,15 +59,8 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("zeppelin: empty batch")
 	}
-	var speeds []float64
-	if env.Health.Degraded() {
-		speeds = env.Health.Speeds(env.C.World())
-	}
-	part, err := partition.New(partition.Config{
-		Cluster:        env.C,
-		CapacityTokens: env.CapacityTokens,
-		Speeds:         speeds,
-	})
+	cfg := partitionConfig(env)
+	part, err := partition.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -74,32 +68,64 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Plan.Validate(batch); err != nil {
-		return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
+	return m.build(env, batch, res.Plan, cfg.Speeds, true, solveRemap)
+}
+
+// partitionConfig is the partitioner's view of an environment: speed-aware
+// only when the cluster is degraded.
+func partitionConfig(env *trainer.Env) partition.Config {
+	cfg := partition.Config{Cluster: env.C, CapacityTokens: env.CapacityTokens}
+	if env.Health.Degraded() {
+		cfg.Speeds = env.Health.Speeds(env.C.World())
+	}
+	return cfg
+}
+
+// remapSolver returns the Eq. 2 remapping of a per-rank token layout
+// toward a target (nil = perfectly balanced) and its inverse.
+type remapSolver func(tokens, target []int, c *cluster.Cluster, bIntra, bInter float64) (*remap.Plan, *remap.Plan, error)
+
+// solveRemap is the stateless remapSolver.
+func solveRemap(tokens, target []int, c *cluster.Cluster, bIntra, bInter float64) (*remap.Plan, *remap.Plan, error) {
+	rp, err := remap.SolveTarget(tokens, target, c, bIntra, bInter)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rp, reversePlan(rp), nil
+}
+
+// build turns a partition plan into a placement; Method and Incremental
+// share it and differ only in how they solved the partition and in the
+// remap solver they pass. validate checks the plan against the batch
+// first. With Remap on, the remapping targets a speed-weighted layout
+// under degradation (slow ranks receive proportionally fewer tokens so
+// the linear modules finish together) and the balanced one otherwise.
+func (m Method) build(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, speeds []float64,
+	validate bool, solve remapSolver) (trainer.Placement, error) {
+	if validate {
+		if err := plan.Validate(batch); err != nil {
+			return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
+		}
 	}
 	pl := &placement{
 		m:      m,
-		plan:   res.Plan,
+		plan:   plan,
 		batch:  batch,
 		engine: attention.New(env.F, routing.New(env.F, m.Routing), env.CM),
 	}
 	if m.Remap {
 		bytesPerToken := env.CM.ActBytes(1)
-		bIntra := bytesPerToken / env.C.IntraBandwidth
-		bInter := bytesPerToken / env.C.NICBandwidth
-		// Speed-weighted layout under degradation: slow ranks receive
-		// proportionally fewer tokens so the linear modules finish
-		// together; healthy clusters keep the perfectly balanced target.
+		tokens := plan.TokensPerRank()
 		var target []int
 		if speeds != nil {
-			target = remap.WeightedTarget(res.Plan.TokensPerRank(), speeds)
+			target = remap.WeightedTarget(tokens, speeds)
 		}
-		rp, err := remap.SolveTarget(res.Plan.TokensPerRank(), target, env.C, bIntra, bInter)
+		rp, rev, err := solve(tokens, target, env.C,
+			bytesPerToken/env.C.IntraBandwidth, bytesPerToken/env.C.NICBandwidth)
 		if err != nil {
 			return nil, err
 		}
-		pl.remapPlan = rp
-		pl.reverse = reversePlan(rp)
+		pl.remapPlan, pl.reverse = rp, rev
 	}
 	return pl, nil
 }
