@@ -403,7 +403,7 @@ func BenchmarkFig15ScalingSweep(b *testing.B) {
 // Decision-tracing overhead: the same campaign with and without a
 // decision trace attached. CI gates BenchmarkDecisionOverhead at ≤5%
 // ns/op over BenchmarkDecisionBaseline (benchgate -ratio), so recording
-// every replan/admission/placement choice stays effectively free.
+// every replan and admission choice stays effectively free.
 // ---------------------------------------------------------------------
 
 // decisionBenchIters keeps one campaign run ~tens of milliseconds: long
@@ -417,7 +417,7 @@ func decisionBenchConfig(tr *decision.Trace) campaign.Config {
 			Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 1, TP: 1,
 			TokensPerGPU: 4096, Seed: 11,
 		},
-		Method:    zep.FullIncremental(),
+		Method:    zep.Full(),
 		Iters:     decisionBenchIters,
 		Arrival:   campaign.Drift{Path: []workload.Dataset{workload.ArXiv, workload.GitHub}, Iters: decisionBenchIters},
 		Policy:    campaign.Threshold{Ratio: 1.3},

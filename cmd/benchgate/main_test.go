@@ -95,7 +95,7 @@ func TestGateRatioZeroDenominator(t *testing.T) {
 }
 
 // TestDefaultGateCoversPlannerStack pins which benchmarks the CI bench
-// job fails on: the planner fast paths and solvers, and nothing else —
+// job fails on: the plan paths and solvers, and nothing else —
 // end-to-end figure benches drift with simulation changes by design and
 // are tracked, not gated.
 func TestDefaultGateCoversPlannerStack(t *testing.T) {

@@ -114,22 +114,3 @@ func TestReplayCmdIdentityAndFlip(t *testing.T) {
 		}
 	}
 }
-
-// TestCampaignCmdIncrementalMatchesStateless: the -incremental flag
-// swaps Zeppelin's planner for the exact-mode incremental one, which
-// must not move a single byte of the campaign artifact.
-func TestCampaignCmdIncrementalMatchesStateless(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign in -short mode")
-	}
-	var plain, inc strings.Builder
-	if err := campaignCmd(&plain, []string{"-iters", "5", "-json"}, 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := campaignCmd(&inc, []string{"-iters", "5", "-incremental", "-json"}, 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != inc.String() {
-		t.Fatal("-incremental campaign artifact differs from the stateless planner's")
-	}
-}

@@ -186,17 +186,15 @@ func postPlan(t *testing.T, url, body string) (int, []byte, string) {
 // with identical plan requests: over-limit requests must carry the full
 // 429 envelope (error.code, Retry-After), and every admitted response
 // must be byte-identical — to each other, and to the same request
-// served by an unlimited, cache-less server. Overload and cache state
-// may change *whether* a request is answered, never *what* the answer
-// is.
+// served by an unlimited server. Overload may change *whether* a
+// request is answered, never *what* the answer is.
 func TestOverloadDeterminism(t *testing.T) {
 	limited := httptest.NewServer(newServer(context.Background(), serverConfig{
 		workers: 1, seeds: 1,
 		rate: 5, burst: 2,
-		planCacheEntries: 64,
 	}))
 	t.Cleanup(limited.Close)
-	// The reference server: no admission control, no shared cache.
+	// The reference server: no admission control.
 	plain := httptest.NewServer(newServer(context.Background(), serverConfig{workers: 1, seeds: 1}))
 	t.Cleanup(plain.Close)
 
@@ -238,13 +236,12 @@ func TestOverloadDeterminism(t *testing.T) {
 		t.Fatal("30 rapid requests against rate 5/s never hit 429")
 	}
 
-	// The same request through the *stateless* SDK solves identically —
-	// cached plan responses never leak cache state.
+	// The same request through the in-process SDK solves identically.
 	var req zeppelin.PlanRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := zeppelin.NewPlanner().Plan(context.Background(), req)
+	resp, err := zeppelin.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +254,11 @@ func TestOverloadDeterminism(t *testing.T) {
 	}
 }
 
-// TestStatsRoute: /v1/stats exposes the admission counters, the shared
-// plan cache hit rate, and the session table by state.
+// TestStatsRoute: /v1/stats exposes the admission counters and the
+// session table by state.
 func TestStatsRoute(t *testing.T) {
 	ts := testServer(t)
 	const body = `{"model":"7B","dataset":"arxiv","seed":7}`
-	// Two identical plans: a shared-cache miss then a hit.
 	for i := 0; i < 2; i++ {
 		if status, raw, _ := postPlan(t, ts.URL, body); status != http.StatusOK {
 			t.Fatalf("plan %d: status = %d: %s", i, status, raw)
@@ -272,7 +268,6 @@ func TestStatsRoute(t *testing.T) {
 
 	var stats struct {
 		Admission []zeppelin.AdmissionStats `json:"admission"`
-		PlanCache *zeppelin.PlanCacheStats  `json:"plan_cache"`
 		Sessions  map[string]int            `json:"sessions"`
 	}
 	resp := getJSON(t, ts.URL+"/v1/stats", &stats)
@@ -289,12 +284,6 @@ func TestStatsRoute(t *testing.T) {
 	if s := byClass[zeppelin.AdmitPlan]; s.Allowed != 2 || s.Denied != 0 {
 		t.Fatalf("plan admission = %+v, want 2 allowed", s)
 	}
-	if stats.PlanCache == nil {
-		t.Fatal("plan_cache missing from stats with the cache enabled")
-	}
-	if stats.PlanCache.Hits < 1 || stats.PlanCache.Misses < 1 {
-		t.Fatalf("plan cache = %+v, want at least one hit and one miss from two identical plans", stats.PlanCache)
-	}
 	if stats.Sessions["created"] != 1 {
 		t.Fatalf("sessions = %v, want one created", stats.Sessions)
 	}
@@ -310,7 +299,6 @@ func TestStatsRoute(t *testing.T) {
 func TestSessionChurnUnderRace(t *testing.T) {
 	srv := newServer(context.Background(), serverConfig{
 		workers: 4, seeds: 1,
-		planCacheEntries: 64,
 	})
 	srv.maxSessions = 4 // small cap: evictions happen constantly
 	ts := httptest.NewServer(srv)
@@ -449,14 +437,13 @@ func TestSessionChurnUnderRace(t *testing.T) {
 
 // TestLoadgenAgainstRealDaemon is the end-to-end loop the CI smoke job
 // runs in-process: zeppelin-loadgen's engine drives a real zeppelind
-// (rate-limited, shared cache on) and the report must show goodput,
+// (rate-limited) and the report must show goodput,
 // byte-identical plans, complete campaign streams, and sane latency
 // percentiles.
 func TestLoadgenAgainstRealDaemon(t *testing.T) {
 	srv := newServer(context.Background(), serverConfig{
 		workers: 2, seeds: 1,
 		rate: 200, burst: 50,
-		planCacheEntries: 64,
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -5,20 +5,20 @@
 //
 //	zeppelind [-addr :8080] [-workers N] [-seeds N]
 //	          [-rate R] [-burst B] [-plan-rate R] [-campaign-rate R]
-//	          [-experiment-rate R] [-plan-cache N] [-decision-log PATH]
+//	          [-experiment-rate R] [-decision-log PATH]
 //	zeppelind -version
 //
 // Routes (all under the v1 API revision):
 //
 //	GET  /healthz                      — liveness: {"status":"ok"} (never rate limited)
 //	GET  /metrics                      — Prometheus text exposition: admission
-//	                                     counters and bucket saturation, plan-cache
-//	                                     hit/eviction counters, request-latency and
-//	                                     plan-solve histograms, sessions by state,
+//	                                     counters and bucket saturation,
+//	                                     request-latency and plan-solve
+//	                                     histograms, sessions by state,
 //	                                     decisions by kind (never rate limited)
 //	GET  /v1/version                   — module version, Go version, API revision
 //	GET  /v1/stats                     — fleet counters: per-class admission
-//	                                     decisions, plan-cache hit rate, sessions by state
+//	                                     decisions, sessions by state
 //	POST /v1/plan                      — one-shot partition+remap plan of a
 //	                                     sampled batch (PlanRequest → PlanResponse)
 //	POST /v1/campaigns                 — create a campaign session (CampaignRequest)
@@ -28,11 +28,10 @@
 //	                                     sessions beyond a cap are also evicted
 //	                                     oldest-first at creation time)
 //	GET  /v1/campaigns/{id}/events     — stream the campaign: one NDJSON
-//	                                     CampaignEvent per iteration, produced by the
-//	                                     session-owned planner; disconnecting cancels
-//	                                     the campaign between iterations
+//	                                     CampaignEvent per iteration; disconnecting
+//	                                     cancels the campaign between iterations
 //	GET  /v1/campaigns/{id}/decisions  — the session's decision trace: every
-//	                                     replan/admission/placement choice with the
+//	                                     replan/admission/scale/route choice with the
 //	                                     scored alternatives it was chosen over
 //	POST /v1/campaigns/{id}/replay     — counterfactual replay: re-run the session's
 //	                                     campaign with at most one replan verdict
@@ -61,11 +60,6 @@
 // simulation work happens. -plan-rate/-campaign-rate/-experiment-rate
 // override -rate per class (negative means unlimited). The default
 // -rate 0 disables admission control.
-//
-// -plan-cache N (default 256, 0 to disable) shares an N-entry exact
-// plan cache across all plan requests and campaign sessions: identical
-// partition solves are computed once per process. Reuse is
-// bit-identical — responses never depend on cache state.
 //
 // -decision-log PATH appends the structured decision log: one compact
 // JSON line per recorded decision, stamped with its session id, written
@@ -102,7 +96,6 @@ func main() {
 	planRate := flag.Float64("plan-rate", 0, "admission rate override for /v1/plan (0 inherits -rate, negative is unlimited)")
 	campaignRate := flag.Float64("campaign-rate", 0, "admission rate override for /v1/campaigns routes (0 inherits -rate, negative is unlimited)")
 	experimentRate := flag.Float64("experiment-rate", 0, "admission rate override for /v1/experiments (0 inherits -rate, negative is unlimited)")
-	planCache := flag.Int("plan-cache", zeppelin.DefaultPlanCacheEntries, "shared plan cache entries; 0 disables the cache")
 	decisionLog := flag.String("decision-log", "", "append the NDJSON decision log to this file (empty disables)")
 	version := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
@@ -117,21 +110,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *planCache < 0 {
-		fmt.Fprintln(os.Stderr, "zeppelind: -plan-cache must be >= 0")
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	cfg := serverConfig{
-		workers:          *workers,
-		seeds:            *seeds,
-		rate:             *rate,
-		burst:            *burst,
-		planRate:         *planRate,
-		campaignRate:     *campaignRate,
-		experimentRate:   *experimentRate,
-		planCacheEntries: *planCache,
+		workers:        *workers,
+		seeds:          *seeds,
+		rate:           *rate,
+		burst:          *burst,
+		planRate:       *planRate,
+		campaignRate:   *campaignRate,
+		experimentRate: *experimentRate,
 	}
 	if *decisionLog != "" {
 		f, err := os.OpenFile(*decisionLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

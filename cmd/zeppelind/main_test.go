@@ -18,9 +18,9 @@ import (
 )
 
 // testConfig is the default server shape for tests: 2 workers, 1 seed,
-// no admission limits, shared plan cache on.
+// no admission limits.
 func testConfig() serverConfig {
-	return serverConfig{workers: 2, seeds: 1, planCacheEntries: zeppelin.DefaultPlanCacheEntries}
+	return serverConfig{workers: 2, seeds: 1}
 }
 
 func testServer(t *testing.T) *httptest.Server {

@@ -20,17 +20,17 @@ var sessionStates = []string{"created", "running", "done", "cancelled", "failed"
 
 // decisionKinds is the fixed decision vocabulary for the decisions
 // counter: the internal decision package's kinds (admission, replan,
-// placement, scale, route) plus the daemon-level "tune" kind — the
+// scale, route) plus the daemon-level "tune" kind — the
 // search's final configuration selection, folded in as /v1/tune
 // requests finish.
-var decisionKinds = []string{"admission", "replan", "placement", "route", "scale", "tune"}
+var decisionKinds = []string{"admission", "replan", "route", "scale", "tune"}
 
 // serverMetrics is the daemon's in-process observability state: the
 // pieces GET /metrics cannot read out of existing structures. Admission
-// counters and bucket levels live in the Admission controller, plan
-// cache counters in the PlanCache — this struct only owns what the
-// handlers themselves observe: request latency per traffic class, plan
-// solve timings, and per-kind decision counts from drained campaigns.
+// counters and bucket levels live in the Admission controller — this
+// struct only owns what the handlers themselves observe: request latency
+// per traffic class, plan solve timings, and per-kind decision counts
+// from drained campaigns.
 type serverMetrics struct {
 	httpLatency map[zeppelin.AdmissionClass]*promtext.Histogram
 	planSolve   *promtext.Histogram
@@ -141,20 +141,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			sat = 1 - tokens/burst
 		}
 		b.Sample("zeppelind_admission_bucket_saturation", class(c), sat)
-	}
-
-	if s.planCache != nil {
-		st := s.planCache.Stats()
-		b.Metric("zeppelind_plan_cache_hits_total", "counter", "Shared plan cache hits.")
-		b.Sample("zeppelind_plan_cache_hits_total", nil, float64(st.Hits))
-		b.Metric("zeppelind_plan_cache_misses_total", "counter", "Shared plan cache misses.")
-		b.Sample("zeppelind_plan_cache_misses_total", nil, float64(st.Misses))
-		b.Metric("zeppelind_plan_cache_evictions_total", "counter", "Entries dropped off the shared plan cache's LRU tail.")
-		b.Sample("zeppelind_plan_cache_evictions_total", nil, float64(st.Evictions))
-		b.Metric("zeppelind_plan_cache_entries", "gauge", "Shared plan cache resident entries.")
-		b.Sample("zeppelind_plan_cache_entries", nil, float64(st.Entries))
-		b.Metric("zeppelind_plan_cache_capacity", "gauge", "Shared plan cache entry capacity.")
-		b.Sample("zeppelind_plan_cache_capacity", nil, float64(st.Capacity))
 	}
 
 	states := make(map[string]int, len(sessionStates))
@@ -341,7 +327,7 @@ func (s *server) recordTune(rep *zeppelin.TuneReport) {
 // handleReplayCampaign re-runs a session's campaign deterministically,
 // optionally with one replan verdict flipped, and returns the
 // counterfactual report. The replay runs fresh in-process campaigns (it
-// never touches the session's own planner or state), so it works on
+// never touches the session's own campaign or state), so it works on
 // created, running, and drained sessions alike.
 func (s *server) handleReplayCampaign(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(w, r)
@@ -366,8 +352,7 @@ func (s *server) handleReplayCampaign(w http.ResponseWriter, r *http.Request) {
 		return // client gone while queued
 	}
 	defer s.release()
-	rep, err := zeppelin.RunReplay(r.Context(), zeppelin.ReplayRequest{Campaign: sess.req, Flip: body.Flip},
-		zeppelin.WithCampaignPlanCache(s.planCache))
+	rep, err := zeppelin.RunReplay(r.Context(), zeppelin.ReplayRequest{Campaign: sess.req, Flip: body.Flip})
 	if err != nil {
 		// Validation failures (bad campaign input resurfacing at replay
 		// time) are the client's to fix: 400, not 500.

@@ -16,7 +16,8 @@ import (
 
 // obsCampaignReq is the fig13-style drifting cell the observability
 // tests stream: drift keeps the threshold policy firing, so the decision
-// trace carries non-forced replan verdicts to inspect and flip.
+// trace carries non-forced replan verdicts to inspect and flip. It sets
+// the v1 Incremental field, which sessions accept and ignore.
 func obsCampaignReq(iters int) zeppelin.CampaignRequest {
 	return zeppelin.CampaignRequest{
 		Workload:    zeppelin.WorkloadSpec{Arrival: "drift", DriftPath: []string{"arxiv", "github"}},
@@ -85,9 +86,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"zeppelind_admission_denied_total",
 		"zeppelind_admission_bucket_tokens",
 		"zeppelind_admission_bucket_saturation",
-		"zeppelind_plan_cache_hits_total",
-		"zeppelind_plan_cache_evictions_total",
-		"zeppelind_plan_cache_capacity",
 		"zeppelind_sessions",
 		"zeppelind_http_request_duration_seconds_count",
 		"zeppelind_plan_solve_seconds_count",
@@ -131,9 +129,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if byKind["replan"] != iters {
 		t.Fatalf("replan decisions = %v, want %v (one verdict per iteration)", byKind["replan"], iters)
 	}
-	if byKind["placement"] != iters {
-		t.Fatalf("placement decisions = %v, want %v", byKind["placement"], iters)
-	}
 	if n := after.Sum("zeppelind_http_request_duration_seconds_count"); n <= before.Sum("zeppelind_http_request_duration_seconds_count") {
 		t.Fatalf("request latency histogram did not grow: %v", n)
 	}
@@ -143,8 +138,8 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestCampaignDecisionsRoute: the decision trace is served with every
-// record stamped with the session id, one replan and one placement
-// verdict per iteration, and the scored alternatives attached.
+// record stamped with the session id, one replan verdict per iteration,
+// and the scored alternatives attached.
 func TestCampaignDecisionsRoute(t *testing.T) {
 	ts := testServer(t)
 	const iters = 10
@@ -159,7 +154,7 @@ func TestCampaignDecisionsRoute(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || body.Campaign != id {
 		t.Fatalf("decisions route: status=%d campaign=%q", resp.StatusCode, body.Campaign)
 	}
-	replans, placements := 0, 0
+	replans := 0
 	for _, d := range body.Decisions {
 		if d.Session != id {
 			t.Fatalf("record not stamped with session: %+v", d)
@@ -170,15 +165,13 @@ func TestCampaignDecisionsRoute(t *testing.T) {
 			if len(d.Alternatives) != 2 {
 				t.Fatalf("replan record without scored alternatives: %+v", d)
 			}
-		case "placement":
-			placements++
 		case "admission":
 		default:
 			t.Fatalf("unknown decision kind %q", d.Kind)
 		}
 	}
-	if replans != iters || placements != iters {
-		t.Fatalf("replans=%d placements=%d, want %d each", replans, placements, iters)
+	if replans != iters {
+		t.Fatalf("replans=%d, want %d", replans, iters)
 	}
 	if body.Decisions[0].Kind != "replan" || !body.Decisions[0].Forced {
 		t.Fatalf("first verdict not the forced iter-0 replan: %+v", body.Decisions[0])

@@ -29,8 +29,8 @@ const maxBodyBytes = 1 << 20
 const defaultMaxSessions = 256
 
 // serverConfig parameterizes the service beyond the worker pool: the
-// per-class admission rates and the shared plan cache size, all mapped
-// one to one from zeppelind's flags.
+// per-class admission rates and the decision log, all mapped one to one
+// from zeppelind's flags.
 type serverConfig struct {
 	// workers bounds concurrent simulation slots (and each request's
 	// internal pool); seeds is the per-cell averaging of experiments.
@@ -43,8 +43,6 @@ type serverConfig struct {
 	// planRate/campaignRate/experimentRate override rate per class
 	// (0 inherits, negative means unlimited).
 	planRate, campaignRate, experimentRate float64
-	// planCacheEntries bounds the shared plan cache; 0 disables it.
-	planCacheEntries int
 	// decisionLog receives the structured NDJSON decision log (one line
 	// per decision, stamped with the session id) as sessions drain; nil
 	// disables logging. Mapped from the -decision-log flag.
@@ -66,12 +64,6 @@ type server struct {
 	// admission is the per-class token-bucket front door of every /v1
 	// route; over-rate requests get a structured 429 with Retry-After.
 	admission *zeppelin.Admission
-	// planCache is the process-wide shared plan tier (nil when
-	// disabled): plan requests and campaign sessions dedupe identical
-	// partition solves through it.
-	planCache *zeppelin.PlanCache
-	// planner answers /v1/plan; stateless, safe for concurrent use.
-	planner *zeppelin.Planner
 	// metrics backs GET /metrics: request-latency histograms, plan-solve
 	// timings, and per-kind decision counts.
 	metrics *serverMetrics
@@ -87,8 +79,8 @@ type server struct {
 	sessions    map[string]*session
 }
 
-// session is one created campaign: the request, the campaign that owns
-// the (possibly incremental) planner, and its lifecycle state.
+// session is one created campaign: the request, the campaign, and its
+// lifecycle state.
 type session struct {
 	mu     sync.Mutex
 	id     string
@@ -158,10 +150,6 @@ func newServer(ctx context.Context, cfg serverConfig) *server {
 		maxSessions: defaultMaxSessions,
 		sessions:    make(map[string]*session),
 	}
-	if cfg.planCacheEntries > 0 {
-		s.planCache = zeppelin.NewPlanCache(cfg.planCacheEntries)
-	}
-	s.planner = zeppelin.NewPlanner(zeppelin.WithPlanCache(s.planCache))
 	mux := http.NewServeMux()
 	// /healthz and /metrics stay unadmitted: liveness probes must see
 	// the daemon alive — and scrapers must see the saturation gauges —
@@ -258,11 +246,9 @@ func (s *server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsBody is the GET /v1/stats payload: the fleet-facing counters —
-// per-class admission decisions, shared plan cache hit rate, and the
-// session table by state.
+// per-class admission decisions and the session table by state.
 type statsBody struct {
 	Admission []zeppelin.AdmissionStats `json:"admission"`
-	PlanCache *zeppelin.PlanCacheStats  `json:"plan_cache,omitempty"`
 	Sessions  map[string]int            `json:"sessions"`
 }
 
@@ -270,10 +256,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	body := statsBody{
 		Admission: s.admission.Stats(),
 		Sessions:  make(map[string]int),
-	}
-	if s.planCache != nil {
-		st := s.planCache.Stats()
-		body.PlanCache = &st
 	}
 	s.mu.Lock()
 	ordered := make([]*session, 0, len(s.sessions))
@@ -322,7 +304,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 	t0 := time.Now()
-	resp, err := s.planner.Plan(r.Context(), req)
+	resp, err := zeppelin.Plan(r.Context(), req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
@@ -340,8 +322,7 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	// /decisions route, the structured decision log, and the per-kind
 	// /metrics counters. Recording is a handful of small allocations per
 	// iteration — the gated BenchmarkDecisionOverhead keeps it ≤5%.
-	camp, err := zeppelin.NewCampaign(req,
-		zeppelin.WithCampaignPlanCache(s.planCache), zeppelin.WithCampaignDecisions())
+	camp, err := zeppelin.NewCampaign(req, zeppelin.WithCampaignDecisions())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return

@@ -34,7 +34,6 @@ import (
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/decision"
 	"zeppelin/internal/faults"
-	"zeppelin/internal/partition"
 	"zeppelin/internal/runner"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
@@ -49,20 +48,16 @@ type ShapeIndependent interface {
 	ShapeIndependent() bool
 }
 
-// Replanner is implemented by stateful methods whose planner carries
-// state across iterations — plan and remap caches
-// (zeppelin.Incremental opts in). The campaign resets that state at Run
-// start so a reused method instance produces the same stream run over
-// run; sharing one Replanner instance across concurrent grid cells is a
-// caller bug.
+// Replanner has no implementer; campaigns plan statelessly.
+//
+// Deprecated: the zbench module is the only user of this name.
 type Replanner interface {
 	ResetPlanner()
 }
 
-// PlanModeReporter is implemented by methods whose planner can name the
-// path its most recent Plan call took ("full", "cached", "shared"). The
-// campaign loop uses it to emit placement decision records;
-// zeppelin.Incremental opts in.
+// PlanModeReporter has no implementer; every plan is a full solve.
+//
+// Deprecated: the zbench module is the only user of this name.
 type PlanModeReporter interface {
 	LastPlanMode() string
 }
@@ -117,9 +112,9 @@ type Config struct {
 	// footprint (2 × hidden × bytes × layers / TP); negative means
 	// migrations are free.
 	MigrateBytesPerToken float64
-	// Decisions, when non-nil, records every replan/admission/placement
-	// choice the campaign loop makes, with the scored alternatives each
-	// site considered. Records are appended from the single campaign
+	// Decisions, when non-nil, records every replan, admission, scale and
+	// route choice the campaign loop makes, with the scored alternatives
+	// each site considered. Records are appended from the single campaign
 	// goroutine in iteration order, so the trace is deterministic per
 	// (Config, seed) at any worker count. The trace is Reset at Start.
 	// Nil disables tracing entirely (zero overhead on the hot loop).
@@ -293,9 +288,6 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if rp, ok := cfg.Method.(Replanner); ok {
-		rp.ResetPlanner()
 	}
 	if cfg.Decisions != nil {
 		cfg.Decisions.Reset()
@@ -550,28 +542,6 @@ func (s *Stream) step() (IterRecord, error) {
 	}
 	busy := perRankBusy(res, world)
 	realizedImb := maxOverMean(busy)
-
-	// Placement record: which fast path the incremental planner took for
-	// this iteration's plan (trainer.Run just executed it). Cumulative
-	// fast-path counters score the alternatives — the planner's lifetime
-	// tendency at the moment of the decision.
-	if cfg.Decisions != nil && !s.shapeIndep {
-		if pm, ok := cfg.Method.(PlanModeReporter); ok {
-			mode := pm.LastPlanMode()
-			drec := decision.Record{
-				Iter: it, Kind: decision.KindPlacement, Chosen: mode, PlanMode: mode,
-			}
-			if pc, ok := cfg.Method.(interface{ PlannerCounters() partition.Counters }); ok {
-				c := pc.PlannerCounters()
-				drec.Alternatives = []decision.Alternative{
-					{Choice: "full", Score: float64(c.Full), Chosen: mode == "full"},
-					{Choice: "cached", Score: float64(c.Cached), Chosen: mode == "cached"},
-					{Choice: "shared", Score: float64(c.Shared), Chosen: mode == "shared"},
-				}
-			}
-			cfg.Decisions.Add(drec)
-		}
-	}
 
 	rec := IterRecord{
 		Iter:     it,

@@ -10,12 +10,12 @@ import (
 	"zeppelin/internal/zeppelin"
 )
 
-// tracedConfig is the decision-test cell: an incremental planner (so
-// placement records appear) under a threshold controller over a drifting
-// stream (so both replan and reuse verdicts occur).
+// tracedConfig is the decision-test cell: Zeppelin under a threshold
+// controller over a drifting stream (so both replan and reuse verdicts
+// occur).
 func tracedConfig(seed int64, iters int, tr *decision.Trace, flip *Flip) Config {
 	return Config{
-		Trainer: testCell(seed), Method: zeppelin.FullIncremental(), Iters: iters,
+		Trainer: testCell(seed), Method: zeppelin.Full(), Iters: iters,
 		Arrival: driftArrival(iters), Policy: Threshold{Ratio: 1.3},
 		Decisions: tr, Flip: flip,
 	}
@@ -64,7 +64,7 @@ func TestDecisionLogDeterministicAcrossWorkers(t *testing.T) {
 
 // TestDecisionRecordsMatchStream: replan-execution records line up with
 // the event stream's replan count (the CI cross-check), iteration 0 is
-// forced, and placement records name real plan modes.
+// forced, and every replan record weighs both alternatives.
 func TestDecisionRecordsMatchStream(t *testing.T) {
 	const iters = 25
 	tr := &decision.Trace{}
@@ -76,20 +76,13 @@ func TestDecisionRecordsMatchStream(t *testing.T) {
 	if got := tr.CountKind(decision.KindReplan, ""); got != iters {
 		t.Fatalf("%d replan decisions recorded, want one per iteration (%d)", got, iters)
 	}
-	if got := tr.CountKind(decision.KindPlacement, ""); got != iters {
-		t.Fatalf("%d placement decisions recorded, want %d", got, iters)
-	}
 	recs := tr.Records()
 	if recs[0].Kind != decision.KindReplan || !recs[0].Forced || recs[0].Chosen != "replan" {
 		t.Fatalf("iteration 0 must be a forced replan, got %+v", recs[0])
 	}
-	modes := map[string]bool{"full": true, "cached": true, "shared": true}
 	for _, r := range recs {
 		if r.Flipped {
 			t.Fatalf("factual run recorded a flip: %+v", r)
-		}
-		if r.Kind == decision.KindPlacement && !modes[r.PlanMode] {
-			t.Fatalf("placement record carries unknown plan mode %q", r.PlanMode)
 		}
 		if r.Kind == decision.KindReplan && len(r.Alternatives) != 2 {
 			t.Fatalf("replan record should weigh 2 alternatives, got %+v", r)

@@ -1,9 +1,10 @@
 // Package decision is the decision-tracing layer of the campaign
 // engine: a typed record of every choice the online controllers make —
 // which replan verdict the policy returned and against which projected
-// imbalances, what admission control trimmed and why, which fast path
-// the incremental planner took — together with the scored alternatives
-// that were actually on the table when the choice was made.
+// imbalances, what admission control trimmed and why, how the autoscaler
+// sized the world, where the serving router sent a request — together
+// with the scored alternatives that were actually on the table when the
+// choice was made.
 //
 // Records are produced inside the single-goroutine campaign loop in
 // iteration order, so a trace is deterministic per (Config, seed): the
@@ -33,10 +34,6 @@ const (
 	// Recorded only when the gate actually trims — when everything fits
 	// there was no choice to make.
 	KindAdmission Kind = "admission"
-	// KindPlacement is the incremental planner's fast-path outcome for
-	// the iteration's plan: full solve, local cache hit, or shared-tier
-	// hit.
-	KindPlacement Kind = "placement"
 	// KindScale is the autoscaler's end-of-iteration verdict: grow,
 	// shrink, or hold the active world for the next iteration, driven by
 	// observed queue depth and utilization. Forced marks verdicts the
@@ -51,11 +48,12 @@ const (
 
 // Alternative is one scored option the decision site considered.
 type Alternative struct {
-	// Choice names the option ("replan", "reuse", "full", "cached", ...).
+	// Choice names the option ("replan", "reuse", "grow", "affinity", ...).
 	Choice string `json:"choice"`
 	// Score is the option's figure of merit at decision time: projected
 	// max/mean imbalance for replan alternatives, token counts for
-	// admission, cumulative win counts for placement fast paths.
+	// admission, deferred tokens or utilization for scale, projected rank
+	// load for route.
 	Score float64 `json:"score"`
 	// Chosen marks the option the decision selected.
 	Chosen bool `json:"chosen,omitempty"`
@@ -91,9 +89,6 @@ type Record struct {
 	FreshImbalance float64 `json:"fresh_imbalance,omitempty"`
 	// SinceReplan counts iterations since the partitioner last ran.
 	SinceReplan int `json:"since_replan,omitempty"`
-	// PlanMode is the incremental planner's fast path for placement
-	// records ("full", "cached", "shared").
-	PlanMode string `json:"plan_mode,omitempty"`
 	// Events and World snapshot the fault state the decision was made
 	// under: the iteration's fault/recovery markers and the active
 	// data-parallel world size (fault campaigns only).

@@ -25,10 +25,11 @@ func sampleRecords() []Record {
 			},
 		},
 		{
-			Iter: 1, Kind: KindPlacement, Chosen: "cached", PlanMode: "cached",
+			Iter: 1, Kind: KindScale, Chosen: "grow", World: 8,
 			Alternatives: []Alternative{
-				{Choice: "cached", Score: 1, Chosen: true},
-				{Choice: "full", Score: 1},
+				{Choice: "grow", Score: 4096, Chosen: true},
+				{Choice: "hold", Score: 0.97},
+				{Choice: "shrink", Score: 0.97},
 			},
 		},
 	}

@@ -16,8 +16,7 @@
 // A Partitioner owns reusable scratch buffers: repeated Plan calls (the
 // per-iteration hot path of streaming campaigns) and the threshold-retry
 // loops inside one call allocate almost nothing beyond the plan they
-// return. The Incremental planner (incremental.go) layers an exact-key
-// plan cache on top for the re-planning fast path.
+// return.
 package partition
 
 import (
@@ -88,17 +87,6 @@ func New(cfg Config) (*Partitioner, error) {
 		return nil, err
 	}
 	return &Partitioner{cfg: cfg}, nil
-}
-
-// Reconfigure swaps the configuration while keeping the scratch buffers,
-// so a long-lived planner (the Incremental fast path) re-plans under a
-// changed capacity or effective-speed view without re-allocating.
-func (p *Partitioner) Reconfigure(cfg Config) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	p.cfg = cfg
-	return nil
 }
 
 // Result is a placement plan plus the thresholds the algorithms converged
@@ -559,3 +547,34 @@ func growF(s []float64, n int) []float64 {
 	}
 	return make([]float64, n)
 }
+
+// LoadImbalance is the plan cost metric: the maximum over ranks of
+// effective token load (tokens/speed; raw tokens on a healthy view)
+// divided by the mean.
+func LoadImbalance(plan *seq.Plan, speeds []float64) float64 {
+	var sum, max float64
+	for i, t := range plan.TokensPerRank() {
+		eff := float64(t)
+		if speeds != nil {
+			eff /= speeds[i]
+		}
+		sum += eff
+		if eff > max {
+			max = eff
+		}
+	}
+	if sum == 0 {
+		return 1
+	}
+	return max / (sum / float64(plan.World))
+}
+
+// Counters is empty; planning keeps no counters.
+//
+// Deprecated: the zbench module is the only user of this name.
+type Counters struct{}
+
+// IncrementalConfig is empty; planning has no cache to configure.
+//
+// Deprecated: the zbench module is the only user of this name.
+type IncrementalConfig struct{}

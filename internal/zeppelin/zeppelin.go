@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"zeppelin/internal/attention"
-	"zeppelin/internal/cluster"
 	"zeppelin/internal/partition"
 	"zeppelin/internal/remap"
 	"zeppelin/internal/routing"
@@ -68,8 +67,14 @@ func (m Method) Plan(env *trainer.Env, batch []seq.Sequence) (trainer.Placement,
 	if err != nil {
 		return nil, err
 	}
-	return m.build(env, batch, res.Plan, cfg.Speeds, true, solveRemap)
+	return m.build(env, batch, res.Plan, cfg.Speeds)
 }
+
+// NewIncremental returns m unchanged.
+//
+// Deprecated: planning has one stateless path, Method.Plan. The zbench
+// module is the only user of this name.
+func NewIncremental(m Method, _ partition.IncrementalConfig) Method { return m }
 
 // partitionConfig is the partitioner's view of an environment: speed-aware
 // only when the cluster is degraded.
@@ -81,31 +86,14 @@ func partitionConfig(env *trainer.Env) partition.Config {
 	return cfg
 }
 
-// remapSolver returns the Eq. 2 remapping of a per-rank token layout
-// toward a target (nil = perfectly balanced) and its inverse.
-type remapSolver func(tokens, target []int, c *cluster.Cluster, bIntra, bInter float64) (*remap.Plan, *remap.Plan, error)
-
-// solveRemap is the stateless remapSolver.
-func solveRemap(tokens, target []int, c *cluster.Cluster, bIntra, bInter float64) (*remap.Plan, *remap.Plan, error) {
-	rp, err := remap.SolveTarget(tokens, target, c, bIntra, bInter)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rp, reversePlan(rp), nil
-}
-
-// build turns a partition plan into a placement; Method and Incremental
-// share it and differ only in how they solved the partition and in the
-// remap solver they pass. validate checks the plan against the batch
-// first. With Remap on, the remapping targets a speed-weighted layout
-// under degradation (slow ranks receive proportionally fewer tokens so
-// the linear modules finish together) and the balanced one otherwise.
-func (m Method) build(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, speeds []float64,
-	validate bool, solve remapSolver) (trainer.Placement, error) {
-	if validate {
-		if err := plan.Validate(batch); err != nil {
-			return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
-		}
+// build checks a partition plan against the batch and turns it into a
+// placement. With Remap on, the remapping targets a speed-weighted
+// layout under degradation (slow ranks receive proportionally fewer
+// tokens so the linear modules finish together) and the balanced one
+// otherwise.
+func (m Method) build(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, speeds []float64) (trainer.Placement, error) {
+	if err := plan.Validate(batch); err != nil {
+		return nil, fmt.Errorf("zeppelin: invalid plan: %w", err)
 	}
 	pl := &placement{
 		m:      m,
@@ -120,12 +108,12 @@ func (m Method) build(env *trainer.Env, batch []seq.Sequence, plan *seq.Plan, sp
 		if speeds != nil {
 			target = remap.WeightedTarget(tokens, speeds)
 		}
-		rp, rev, err := solve(tokens, target, env.C,
+		rp, err := remap.SolveTarget(tokens, target, env.C,
 			bytesPerToken/env.C.IntraBandwidth, bytesPerToken/env.C.NICBandwidth)
 		if err != nil {
 			return nil, err
 		}
-		pl.remapPlan, pl.reverse = rp, rev
+		pl.remapPlan, pl.reverse = rp, reversePlan(rp)
 	}
 	return pl, nil
 }

@@ -25,9 +25,8 @@ const (
 )
 
 // Campaign is an in-flight streaming campaign: the iterator-style public
-// face of the internal campaign engine. NewCampaign resolves the request
-// (building the session-owned planner when Incremental is set), Start
-// binds the context that governs the run, and each Next call simulates
+// face of the internal campaign engine. NewCampaign resolves the request,
+// Start binds the context that governs the run, and each Next call simulates
 // exactly one iteration and returns its event — the consumption model
 // the zeppelind NDJSON endpoint streams over HTTP.
 //
@@ -48,22 +47,12 @@ type Campaign struct {
 type CampaignOption func(*campaignOptions)
 
 type campaignOptions struct {
-	cache     *PlanCache
 	decisions bool
 	flip      *FlipSpec
 }
 
-// WithCampaignPlanCache wires the campaign's session-owned planner to a
-// process-wide shared plan cache: exact full-solve results are probed
-// and published across sessions and plan requests. Reuse is
-// bit-identical, so the event stream does not depend on cache state. A
-// nil cache is ignored.
-func WithCampaignPlanCache(c *PlanCache) CampaignOption {
-	return func(o *campaignOptions) { o.cache = c }
-}
-
-// WithCampaignDecisions records every replan/admission/placement choice
-// the campaign makes; the trace is readable through Campaign.Decisions
+// WithCampaignDecisions records every replan, admission, scale and route
+// choice the campaign makes; the trace is readable through Campaign.Decisions
 // while the stream runs and after it completes. Decision traces are
 // deterministic per (request, seed): the same campaign produces a
 // byte-identical decision log at any worker count.
@@ -80,15 +69,13 @@ func WithCampaignFlip(f FlipSpec) CampaignOption {
 	return func(o *campaignOptions) { o.flip = &f }
 }
 
-// NewCampaign resolves the request into a runnable campaign. The
-// request's method instance — including the incremental planner when
-// requested — is owned by this campaign alone.
+// NewCampaign resolves the request into a runnable campaign.
 func NewCampaign(req CampaignRequest, opts ...CampaignOption) (*Campaign, error) {
 	var o campaignOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg, err := req.configWith(o.cache)
+	cfg, err := req.config()
 	if err != nil {
 		return nil, err
 	}
@@ -220,9 +207,8 @@ func RunCampaign(ctx context.Context, req CampaignRequest) (*CampaignReport, err
 }
 
 // CampaignComparison is the artifact of one comparison grid: the
-// paper's four methods (plus, per request, the incremental Zeppelin
-// planner) streamed through the same arrival/policy/faults cell across
-// seeds. It marshals to the same JSON shape the zeppelin CLI has always
+// paper's four methods streamed through the same arrival/policy/faults
+// cell across seeds. It marshals to the same JSON shape the zeppelin CLI has always
 // emitted and renders the same text table and timeline.
 type CampaignComparison struct {
 	iters   int

@@ -2,15 +2,14 @@
 // simulator: a curated surface over the internal packages that lets any
 // Go program — and, through cmd/zeppelind, any HTTP client — plan a
 // batch, stream a long-horizon campaign, regenerate a paper experiment,
-// or benchmark the planner fast path, without importing internal/.
+// or benchmark the planner, without importing internal/.
 //
 // The surface is deliberately small and wire-stable:
 //
-//   - Planner / PlanRequest / PlanResponse — one-shot partition+remap
+//   - Plan / PlanRequest / PlanResponse — one-shot partition+remap
 //     planning of a sampled batch, with a simulated-iteration readout
-//     (PlanResponse.WriteText renders it for terminals). WithPlanCache
-//     shares a process-wide plan cache tier that serves exact repeats;
-//     plans are bit-identical at every cache state.
+//     (PlanResponse.WriteText renders it for terminals). Every plan is
+//     a stateless solve, deterministic per request.
 //   - RenderTrace / TraceRequest — one attention layer (forward +
 //     backward) of a planned batch, rendered as the Fig. 12 timeline of
 //     the chosen ranks with per-phase statistics.
@@ -46,7 +45,7 @@
 //     name ("fig8", "table3", …), structured or paper-style text.
 //   - CompareCampaigns — the CLI's (method × seed) campaign comparison
 //     grid, with JSON and text artifact writers.
-//   - RunPlannerBench — the fig15 planner fast-path measurement in the
+//   - RunPlannerBench — the fig15 full-solve planner measurement in the
 //     shared benchfmt artifact schema, sweeping world sizes up to the
 //     8192-rank tail of the Fig. 15 grid.
 //   - Version / APIVersion — build and API-revision identification.

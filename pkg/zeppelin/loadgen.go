@@ -38,9 +38,9 @@ type LoadConfig struct {
 	// Defaults to 4×GOMAXPROCS.
 	PlanConcurrency int
 	// Plan is the request every plan POST carries. The zero value is
-	// filled with the 7B/arxiv defaults at validation time, so identical
-	// requests exercise the shared plan cache; responses are checked for
-	// byte-identity in UniquePlanBodies.
+	// filled with the 7B/arxiv defaults at validation time; responses to
+	// the identical requests are checked for byte-identity in
+	// UniquePlanBodies.
 	Plan PlanRequest
 	// Campaigns is how many concurrent campaign sessions to stream; each
 	// runs CampaignIters iterations with its stream index as the seed.

@@ -9,53 +9,7 @@ import (
 	"zeppelin/internal/remap"
 	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
-	zep "zeppelin/internal/zeppelin"
 )
-
-// Planner answers one-shot plan requests: sample the batch, run the
-// partitioner (and, for Zeppelin, the Eq. 2 remapping solve), then
-// simulate the planned iteration end to end. A Planner is safe for
-// concurrent use; plans are deterministic per request.
-type Planner struct {
-	// cache is the optional process-wide shared plan tier. Each Zeppelin
-	// Plan call probes it through a call-owned incremental planner, so
-	// concurrent requests never serialize and responses stay
-	// bit-identical at every cache state.
-	cache *PlanCache
-}
-
-// PlannerOption configures NewPlanner.
-type PlannerOption func(*Planner)
-
-// WithPlanCache shares a process-wide plan cache tier across this
-// planner's Zeppelin plans. Exact repeats of (cluster view, capacity,
-// batch) reuse the solved partition plan instead of re-solving; hits
-// are bit-identical to full solves, so responses are unchanged by cache
-// state. A nil cache is ignored.
-func WithPlanCache(c *PlanCache) PlannerOption {
-	return func(p *Planner) { p.cache = c }
-}
-
-// NewPlanner builds a planner; see the options for behavior switches.
-func NewPlanner(opts ...PlannerOption) *Planner {
-	p := &Planner{}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
-}
-
-// method wraps a Zeppelin method in a call-owned incremental planner
-// over the shared cache tier, when one is configured. It probes and
-// publishes full solves and holds no cross-call state; exact-key reuse
-// keeps the result bit-identical to the stateless solve.
-func (p *Planner) method(m trainer.Method) trainer.Method {
-	zm, ok := m.(zep.Method)
-	if !ok || p.cache == nil {
-		return m
-	}
-	return zep.NewIncremental(zm, partition.IncrementalConfig{Shared: p.cache.sharedTier()})
-}
 
 // planCarrier is implemented by placements that expose their partition
 // plan (the Zeppelin planners do; even-split baselines have none).
@@ -65,10 +19,13 @@ type planCarrier interface{ Plan() *seq.Plan }
 // remapping solution.
 type remapCarrier interface{ RemapPlan() *remap.Plan }
 
-// Plan resolves the request, plans the sampled batch, and simulates the
-// resulting iteration. The context is checked between the planning and
-// simulation stages; a cancelled context returns ctx.Err().
-func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
+// Plan answers a one-shot plan request: it samples the batch, runs the
+// partitioner (and, for Zeppelin, the Eq. 2 remapping solve), then
+// simulates the planned iteration end to end. Plan is safe for
+// concurrent use and deterministic per request. The context is checked
+// between the planning and simulation stages; a cancelled context
+// returns ctx.Err().
+func Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -79,7 +36,6 @@ func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, err
 	if err != nil {
 		return nil, err
 	}
-	m = p.method(m)
 	batch := cfg.Batch(dataset.Batch)
 
 	// Planning pass: build the placement once to read the plan facts.
@@ -127,12 +83,6 @@ func (p *Planner) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, err
 	resp.TokensPerSec = res.TokensPerSec
 	resp.HostOverheadSec = res.HostOverhead
 	return resp, nil
-}
-
-// Plan is the package-level convenience: a fresh stateless Planner
-// answering one request.
-func Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
-	return NewPlanner().Plan(ctx, req)
 }
 
 // WriteText renders the response for terminals: the sampled batch, the

@@ -17,24 +17,22 @@ import (
 // forced decision or agrees with the factual verdict changes nothing;
 // the report then records Flipped=false, Identical=true.
 //
-// Both runs execute in-process under ctx; options (a shared plan cache,
-// decision recording) apply to both. Determinism makes this exact: the
-// factual run here is bit-identical to the recorded stream the request
-// originally produced.
-func RunReplay(ctx context.Context, req ReplayRequest, opts ...CampaignOption) (*ReplayReport, error) {
+// Both runs execute in-process under ctx with decision recording on.
+// Determinism makes this exact: the factual run here is bit-identical
+// to the recorded stream the request originally produced.
+func RunReplay(ctx context.Context, req ReplayRequest) (*ReplayReport, error) {
 	if req.Flip != nil {
 		if _, err := req.Flip.flip(); err != nil {
 			return nil, err
 		}
 	}
 
-	factOpts := append(append([]CampaignOption(nil), opts...), WithCampaignDecisions())
-	factual, err := drainCampaign(ctx, req.Campaign, factOpts...)
+	factual, err := drainCampaign(ctx, req.Campaign, WithCampaignDecisions())
 	if err != nil {
 		return nil, err
 	}
 
-	cfOpts := append(append([]CampaignOption(nil), opts...), WithCampaignDecisions())
+	cfOpts := []CampaignOption{WithCampaignDecisions()}
 	if req.Flip != nil {
 		cfOpts = append(cfOpts, WithCampaignFlip(*req.Flip))
 	}

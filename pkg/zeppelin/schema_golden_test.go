@@ -207,7 +207,6 @@ func canonicalFixtures() map[string]any {
 			StaleImbalance: 1.42,
 			FreshImbalance: 1.05,
 			SinceReplan:    9,
-			PlanMode:       "patched",
 			Events:         []string{"straggler:rank4 x2.5"},
 			World:          16,
 			Alternatives: []DecisionAlternative{

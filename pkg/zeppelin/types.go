@@ -10,7 +10,6 @@ import (
 	"zeppelin/internal/decision"
 	"zeppelin/internal/faults"
 	"zeppelin/internal/model"
-	"zeppelin/internal/partition"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
 	zep "zeppelin/internal/zeppelin"
@@ -305,9 +304,9 @@ type CampaignRequest struct {
 	// 0 selects the default (20 ms), a negative value is a validation
 	// error (use a small positive value to approximate free replanning).
 	ReplanCostSec float64 `json:"replan_cost_sec,omitempty"`
-	// Incremental plans Zeppelin through the session-owned incremental
-	// planner: results are bit-identical to the stateless planner, and
-	// exact repeats are served from its plan cache instead of re-solved.
+	// Incremental is accepted and ignored: every campaign plans through
+	// the one stateless solve. The field stays so v1 requests that set
+	// it still decode.
 	Incremental bool `json:"incremental,omitempty"`
 	// Autoscale, when non-nil, runs the campaign under the closed-loop
 	// autoscaler: world size follows observed queue depth and
@@ -379,17 +378,7 @@ func (a *AutoscaleSpec) resolve() *campaign.Autoscaler {
 }
 
 // config resolves the request into an internal campaign configuration.
-// Each call builds a fresh method instance, so an incremental planner is
-// owned by exactly one campaign.
-func (r CampaignRequest) config() (campaign.Config, error) { return r.configWith(nil) }
-
-// configWith is config with an optional shared plan cache tier: the
-// campaign's planner (always session-owned) probes it for exact
-// full-solve hits and publishes its own, so identical campaign specs
-// running in other sessions — or identical one-shot plan requests —
-// dedupe the partition work. Exact-key reuse is bit-identical, so the
-// event stream is unchanged by cache state.
-func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
+func (r CampaignRequest) config() (campaign.Config, error) {
 	if r.Iters < 1 {
 		return campaign.Config{}, fmt.Errorf("zeppelin: campaign iters must be >= 1, got %d", r.Iters)
 	}
@@ -408,13 +397,6 @@ func (r CampaignRequest) configWith(pc *PlanCache) (campaign.Config, error) {
 	m, err := methodByID(r.Method)
 	if err != nil {
 		return campaign.Config{}, err
-	}
-	if zm, ok := m.(zep.Method); ok && (r.Incremental || pc != nil) {
-		// The incremental wrapper serves two roles: the request-level
-		// Incremental fast path, and (for any Zeppelin campaign when a
-		// shared tier is wired) the probe/publish front of the
-		// process-wide plan cache. Bit-identical either way.
-		m = zep.NewIncremental(zm, partition.IncrementalConfig{Shared: pc.sharedTier()})
 	}
 	seed := r.Seed
 	if seed == 0 {
@@ -674,8 +656,8 @@ type DecisionRecord struct {
 	Session string `json:"session,omitempty"`
 	// Iter is the campaign iteration the decision belongs to.
 	Iter int `json:"iter"`
-	// Kind classifies the decision site: "replan", "admission",
-	// "placement", or "scale". Chosen names the winning alternative.
+	// Kind classifies the decision site: "replan", "admission", "scale"
+	// or "route". Chosen names the winning alternative.
 	Kind   string `json:"kind"`
 	Chosen string `json:"chosen"`
 	// Forced marks decisions the controller had no say in (first
@@ -692,9 +674,6 @@ type DecisionRecord struct {
 	FreshImbalance float64 `json:"fresh_imbalance,omitempty"`
 	// SinceReplan counts iterations since the partitioner last ran.
 	SinceReplan int `json:"since_replan,omitempty"`
-	// PlanMode is the incremental planner's fast path for placement
-	// records ("full", "cached", "shared").
-	PlanMode string `json:"plan_mode,omitempty"`
 	// Events and World snapshot the fault state (fault campaigns only).
 	Events []string `json:"events,omitempty"`
 	World  int      `json:"world,omitempty"`
@@ -715,7 +694,6 @@ func decisionOf(r decision.Record) DecisionRecord {
 		StaleImbalance: r.StaleImbalance,
 		FreshImbalance: r.FreshImbalance,
 		SinceReplan:    r.SinceReplan,
-		PlanMode:       r.PlanMode,
 		Events:         r.Events,
 		World:          r.World,
 	}
