@@ -11,6 +11,10 @@ import (
 )
 
 // IterRecord is the online metrics row of one campaign iteration.
+//
+// The SDK re-exports this record as zeppelin.CampaignEvent, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type IterRecord struct {
 	Iter   int `json:"iter"`
 	Tokens int `json:"tokens"`
@@ -60,6 +64,10 @@ type IterRecord struct {
 }
 
 // Summary aggregates one campaign's iteration stream.
+//
+// The SDK re-exports this record as zeppelin.CampaignSummary, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type Summary struct {
 	Method  string `json:"method"`
 	Arrival string `json:"arrival"`

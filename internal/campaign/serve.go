@@ -40,6 +40,10 @@ func (sc *ServeConfig) generator() serve.Generator {
 }
 
 // ClassMetrics aggregates one SLO class over a serve campaign.
+//
+// The SDK re-exports this record as zeppelin.ClassMetrics, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type ClassMetrics struct {
 	Class    string `json:"class"`
 	Priority int    `json:"priority"`

@@ -47,6 +47,10 @@ const (
 )
 
 // Alternative is one scored option the decision site considered.
+//
+// The SDK re-exports this record as zeppelin.DecisionAlternative, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type Alternative struct {
 	// Choice names the option ("replan", "reuse", "grow", "affinity", ...).
 	Choice string `json:"choice"`

@@ -43,6 +43,10 @@ func (w Weights) normalize() (Weights, error) {
 }
 
 // Metrics are the seed-averaged campaign observables fitness scores.
+//
+// The SDK re-exports this record as zeppelin.TuneMetrics, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type Metrics struct {
 	TokensPerSec    float64 `json:"tokens_per_sec"`
 	P99IterTime     float64 `json:"p99_iter_time"`
@@ -82,6 +86,10 @@ func (m *Metrics) scale(n float64) {
 // clamped to [0, componentCap] so a near-zero baseline denominator
 // cannot dominate the objective. Total is the weight-normalized sum, so
 // the baseline itself scores exactly 1.
+//
+// The SDK re-exports this record as zeppelin.TuneFitness, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type Fitness struct {
 	Goodput     float64 `json:"goodput"`
 	P99         float64 `json:"p99"`

@@ -43,6 +43,10 @@ type Options struct {
 const DefaultBudget = 24
 
 // Candidate is one evaluated point with its scored breakdown.
+//
+// The SDK re-exports this record as zeppelin.TuneCandidate, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type Candidate struct {
 	// Key is the point's canonical identity; Flags is the equivalent
 	// ready-to-paste `zeppelin campaign` flag set.

@@ -23,6 +23,10 @@ import (
 // Fields irrelevant to the selected policy are canonicalized to zero
 // (a periodic cadence under a threshold policy, autoscaler gains with
 // the autoscaler off) so equivalent points share one Key.
+//
+// The SDK re-exports this record as zeppelin.TuneParams, so its
+// JSON tags are the v1 wire schema: fields only append, and
+// pkg/zeppelin/testdata pins the shape.
 type Params struct {
 	// Policy is the replan controller ("always", "never", "threshold",
 	// "periodic"); empty leaves the campaign default (threshold).

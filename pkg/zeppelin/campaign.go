@@ -120,11 +120,7 @@ func (c *Campaign) Next() (CampaignEvent, bool) {
 	if c.st == nil {
 		return CampaignEvent{}, false
 	}
-	rec, ok := c.st.Next()
-	if !ok {
-		return CampaignEvent{}, false
-	}
-	return eventOf(rec), true
+	return c.st.Next()
 }
 
 // Err reports why the stream stopped; nil while events keep coming and
@@ -161,18 +157,12 @@ func (c *Campaign) Report() *CampaignReport {
 		return &CampaignReport{Events: []CampaignEvent{}}
 	}
 	rep := c.st.Report()
-	out := &CampaignReport{
-		Summary:     summaryOf(rep.Summary),
+	return &CampaignReport{
+		Summary:     rep.Summary,
 		PerRankUtil: rep.PerRankUtil,
-		Events:      make([]CampaignEvent, len(rep.Records)),
+		Classes:     append([]ClassMetrics(nil), rep.Classes...),
+		Events:      append([]CampaignEvent{}, rep.Records...),
 	}
-	for i, rec := range rep.Records {
-		out.Events[i] = eventOf(rec)
-	}
-	for _, cm := range rep.Classes {
-		out.Classes = append(out.Classes, classMetricsOf(cm))
-	}
-	return out
 }
 
 // StartCampaign is NewCampaign followed by Start.

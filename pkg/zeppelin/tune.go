@@ -60,6 +60,7 @@ type TuneRequest struct {
 }
 
 // TuneWeights are the wire fitness weights; only their ratios matter.
+// Unlike the engine's weights, zero weights are omitted on the wire.
 type TuneWeights struct {
 	// Goodput weights campaign throughput (higher better).
 	Goodput float64 `json:"goodput,omitempty"`
@@ -72,57 +73,25 @@ type TuneWeights struct {
 	Utilization float64 `json:"utilization,omitempty"`
 }
 
-// TuneParams is the wire form of one candidate configuration.
-type TuneParams struct {
-	Policy     string  `json:"policy,omitempty"`
-	Threshold  float64 `json:"threshold,omitempty"`
-	Every      int     `json:"every,omitempty"`
-	ReplanCost float64 `json:"replan_cost,omitempty"`
-	Capacity   float64 `json:"capacity,omitempty"`
-	Autoscale  bool    `json:"autoscale,omitempty"`
-	UpUtil     float64 `json:"up_util,omitempty"`
-	DownUtil   float64 `json:"down_util,omitempty"`
-	Cooldown   int     `json:"cooldown,omitempty"`
-	Step       int     `json:"step,omitempty"`
-}
+// TuneParams is the wire form of one candidate configuration: the
+// search engine's own point record, re-exported. Like every re-exported
+// record its JSON names only ever gain fields.
+type TuneParams = tune.Params
 
 // TuneMetrics are one candidate's seed-averaged campaign observables.
-type TuneMetrics struct {
-	TokensPerSec    float64 `json:"tokens_per_sec"`
-	P99IterTime     float64 `json:"p99_iter_time"`
-	Replans         float64 `json:"replans"`
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	MigrationCost   float64 `json:"migration_cost"`
-	MeanUtilization float64 `json:"mean_utilization"`
-	DeferredTokens  float64 `json:"deferred_tokens"`
-}
+type TuneMetrics = tune.Metrics
 
 // TuneFitness is a candidate's scored breakdown: per-component
 // candidate-vs-baseline improvement ratios (1 = parity, clamped to
 // [0, 5]) and the weight-normalized Total. The baseline scores exactly 1.
-type TuneFitness struct {
-	Goodput     float64 `json:"goodput"`
-	P99         float64 `json:"p99"`
-	Migration   float64 `json:"migration"`
-	Utilization float64 `json:"utilization"`
-	Total       float64 `json:"total"`
-}
+type TuneFitness = tune.Fitness
 
-// TuneCandidate is one evaluated configuration with its breakdown.
-type TuneCandidate struct {
-	// Key is the candidate's canonical identity; Flags is the
-	// equivalent ready-to-paste `zeppelin campaign` flag set.
-	Key    string     `json:"key"`
-	Params TuneParams `json:"params"`
-	Flags  string     `json:"flags"`
-	// Invalid carries the validation error of a candidate the campaign
-	// rejected (it scores zero and cannot win).
-	Invalid string      `json:"invalid,omitempty"`
-	Metrics TuneMetrics `json:"metrics"`
-	Fitness TuneFitness `json:"fitness"`
-}
+// TuneCandidate is one evaluated configuration with its breakdown; Flags
+// is the equivalent ready-to-paste `zeppelin campaign` flag set.
+type TuneCandidate = tune.Candidate
 
-// TuneReport is the wire artifact of one search.
+// TuneReport is the wire artifact of one search. It is not the engine's
+// report: the wire orders iters before seeds and always writes iters.
 type TuneReport struct {
 	// Space echoes the swept grammar; Budget, Iters, Seeds, and Weights
 	// echo the resolved search parameters.
@@ -222,38 +191,19 @@ func RunTune(ctx context.Context, req TuneRequest) (*TuneReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tuneReportOf(rep), nil
-}
-
-// tuneReportOf converts the internal search report to its wire form.
-func tuneReportOf(rep *tune.Report) *TuneReport {
-	out := &TuneReport{
+	return &TuneReport{
 		Space:     rep.Space,
 		Budget:    rep.Budget,
 		Iters:     rep.Iters,
 		Seeds:     rep.Seeds,
 		Weights:   TuneWeights(rep.Weights),
 		Evaluated: rep.Evaluated,
-		Baseline:  tuneCandidateOf(rep.Baseline),
-		Winner:    tuneCandidateOf(rep.Winner),
+		Baseline:  rep.Baseline,
+		Winner:    rep.Winner,
 		Improved:  rep.Improved,
-	}
-	out.Candidates = make([]TuneCandidate, len(rep.Candidates))
-	for i, c := range rep.Candidates {
-		out.Candidates[i] = tuneCandidateOf(c)
-	}
-	return out
-}
-
-func tuneCandidateOf(c tune.Candidate) TuneCandidate {
-	return TuneCandidate{
-		Key:     c.Key,
-		Params:  TuneParams(c.Params),
-		Flags:   c.Flags,
-		Invalid: c.Invalid,
-		Metrics: TuneMetrics(c.Metrics),
-		Fitness: TuneFitness(c.Fitness),
-	}
+		// A degenerate space evaluates nothing; the wire still says [].
+		Candidates: append([]TuneCandidate{}, rep.Candidates...),
+	}, nil
 }
 
 // WriteText renders the tune report for terminals: the search header,

@@ -486,143 +486,19 @@ func (r CampaignRequest) Validate() error {
 	return err
 }
 
-// CampaignEvent is the wire form of one campaign iteration record. Its
-// fields and JSON names mirror the internal per-iteration metrics row
-// one to one, so a drained event stream is bit-identical to an
-// in-process campaign run.
-type CampaignEvent struct {
-	Iter   int `json:"iter"`
-	Tokens int `json:"tokens"`
-	Seqs   int `json:"seqs"`
-	// Deferred is the token count admission control pushed past this
-	// iteration because the arrival exceeded placement capacity.
-	Deferred int `json:"deferred,omitempty"`
-	// Replanned reports whether the partitioner ran this iteration.
-	Replanned bool `json:"replanned"`
-	// Flipped marks the one iteration a counterfactual replay overrode
-	// the replan verdict on (never set in factual runs).
-	Flipped bool `json:"flipped,omitempty"`
-	// Time is the simulated wall time of the iteration in seconds.
-	Time float64 `json:"time"`
-	// TokensPerSec is the iteration's delivered throughput.
-	TokensPerSec float64 `json:"tokens_per_sec"`
-	// Imbalance is the realized max/mean per-rank busy-time ratio.
-	Imbalance float64 `json:"imbalance"`
-	// Penalty is the stale-plan slowdown factor applied to the layer
-	// critical path (1 on replan iterations).
-	Penalty float64 `json:"penalty"`
-	// Utilization is the mean per-rank busy fraction of the layer span.
-	Utilization float64 `json:"utilization"`
-	// Recovery is the fault-transition time charged to this iteration.
-	Recovery float64 `json:"recovery,omitempty"`
-	// Events are the iteration's fault/recovery markers.
-	Events []string `json:"events,omitempty"`
-	// World is the active data-parallel world size (fault schedules
-	// only, where it can change mid-campaign).
-	World int `json:"world,omitempty"`
-	// Queued is the request-token backlog left pending after the tick
-	// (serve campaigns only).
-	Queued int `json:"queued,omitempty"`
-	// AffinityHits counts requests served on their session's home rank
-	// this tick; SavedTokens the prefix tokens that reuse skipped
-	// (serve campaigns only).
-	AffinityHits int `json:"affinity_hits,omitempty"`
-	SavedTokens  int `json:"saved_tokens,omitempty"`
-	// Violations counts requests completing past their class deadline
-	// this tick (serve campaigns only).
-	Violations int `json:"violations,omitempty"`
-}
+// CampaignEvent is the wire form of one campaign iteration record: the
+// engine's own per-iteration metrics row, re-exported, so a drained event
+// stream is bit-identical to an in-process campaign run. Its JSON names
+// are part of the v1 schema and only ever gain fields.
+type CampaignEvent = campaign.IterRecord
 
-// eventOf converts an internal iteration record to its wire form.
-func eventOf(rec campaign.IterRecord) CampaignEvent {
-	return CampaignEvent{
-		Iter:         rec.Iter,
-		Tokens:       rec.Tokens,
-		Seqs:         rec.Seqs,
-		Deferred:     rec.Deferred,
-		Replanned:    rec.Replanned,
-		Flipped:      rec.Flipped,
-		Time:         rec.Time,
-		TokensPerSec: rec.TokensPerSec,
-		Imbalance:    rec.Imbalance,
-		Penalty:      rec.Penalty,
-		Utilization:  rec.Utilization,
-		Recovery:     rec.Recovery,
-		Events:       rec.Events,
-		World:        rec.World,
-		Queued:       rec.Queued,
-		AffinityHits: rec.AffinityHits,
-		SavedTokens:  rec.SavedTokens,
-		Violations:   rec.Violations,
-	}
-}
+// CampaignSummary aggregates one campaign's event stream: the engine's
+// own summary record, re-exported under the same append-only schema.
+type CampaignSummary = campaign.Summary
 
-// CampaignSummary aggregates one campaign's event stream — the wire
-// mirror of the internal summary.
-type CampaignSummary struct {
-	Method  string `json:"method"`
-	Arrival string `json:"arrival"`
-	Policy  string `json:"policy"`
-	Iters   int    `json:"iters"`
-	Replans int    `json:"replans"`
-
-	TotalTokens    int     `json:"total_tokens"`
-	DeferredTokens int     `json:"deferred_tokens,omitempty"`
-	WallTime       float64 `json:"wall_time"`
-	TokensPerSec   float64 `json:"tokens_per_sec"`
-
-	MeanIterTime float64 `json:"mean_iter_time"`
-	P50IterTime  float64 `json:"p50_iter_time"`
-	P95IterTime  float64 `json:"p95_iter_time"`
-	P99IterTime  float64 `json:"p99_iter_time"`
-	MaxIterTime  float64 `json:"max_iter_time"`
-
-	MeanImbalance   float64 `json:"mean_imbalance"`
-	MaxImbalance    float64 `json:"max_imbalance"`
-	MeanUtilization float64 `json:"mean_utilization"`
-
-	RecoverySeconds float64 `json:"recovery_seconds,omitempty"`
-	FaultEvents     int     `json:"fault_events,omitempty"`
-
-	// Serving aggregates (serve campaigns only): completed requests,
-	// deadline violations, requests unserved at the horizon cutoff, and
-	// total stream time in seconds (busy plus idle).
-	Requests   int     `json:"requests,omitempty"`
-	Violations int     `json:"violations,omitempty"`
-	Unserved   int     `json:"unserved,omitempty"`
-	StreamTime float64 `json:"stream_time,omitempty"`
-}
-
-// summaryOf converts the internal summary to its wire form.
-func summaryOf(s campaign.Summary) CampaignSummary {
-	return CampaignSummary{
-		Method:          s.Method,
-		Arrival:         s.Arrival,
-		Policy:          s.Policy,
-		Iters:           s.Iters,
-		Replans:         s.Replans,
-		TotalTokens:     s.TotalTokens,
-		DeferredTokens:  s.DeferredTokens,
-		WallTime:        s.WallTime,
-		TokensPerSec:    s.TokensPerSec,
-		MeanIterTime:    s.MeanIterTime,
-		P50IterTime:     s.P50IterTime,
-		P95IterTime:     s.P95IterTime,
-		P99IterTime:     s.P99IterTime,
-		MaxIterTime:     s.MaxIterTime,
-		MeanImbalance:   s.MeanImbalance,
-		MaxImbalance:    s.MaxImbalance,
-		MeanUtilization: s.MeanUtilization,
-		RecoverySeconds: s.RecoverySeconds,
-		FaultEvents:     s.FaultEvents,
-		Requests:        s.Requests,
-		Violations:      s.Violations,
-		Unserved:        s.Unserved,
-		StreamTime:      s.StreamTime,
-	}
-}
-
-// CampaignReport is the full wire artifact of one drained campaign.
+// CampaignReport is the full wire artifact of one drained campaign. It
+// is not the engine's report: the wire names the iteration list
+// "events", where the engine's artifact says "records".
 type CampaignReport struct {
 	Summary CampaignSummary `json:"summary"`
 	// PerRankUtil is each rank's campaign-cumulative busy fraction.
@@ -634,22 +510,17 @@ type CampaignReport struct {
 	Events []CampaignEvent `json:"events"`
 }
 
-// DecisionAlternative is one scored option a decision site considered.
-type DecisionAlternative struct {
-	// Choice names the option ("replan", "reuse", "full", "cached", ...).
-	Choice string `json:"choice"`
-	// Score is the option's figure of merit at decision time.
-	Score float64 `json:"score"`
-	// Chosen marks the option the decision selected.
-	Chosen bool `json:"chosen,omitempty"`
-}
+// DecisionAlternative is one scored option a decision site considered:
+// the decision trace's own record, re-exported.
+type DecisionAlternative = decision.Alternative
 
 // DecisionRecord is the wire form of one recorded campaign decision —
 // what was chosen, what else was considered, and the controller state
 // that drove the choice. Field order is part of the NDJSON decision-log
 // contract: kind and chosen are adjacent, so
 // `"kind":"replan","chosen":"replan"` is a stable grep key for replan
-// executions.
+// executions. It is not the trace's own record because the session id
+// leads every logged line.
 type DecisionRecord struct {
 	// Session is the owning campaign session id (set by zeppelind's
 	// decision log, where one file interleaves many sessions).
@@ -683,7 +554,7 @@ type DecisionRecord struct {
 
 // decisionOf converts an internal decision record to its wire form.
 func decisionOf(r decision.Record) DecisionRecord {
-	out := DecisionRecord{
+	return DecisionRecord{
 		Iter:           r.Iter,
 		Kind:           string(r.Kind),
 		Chosen:         r.Chosen,
@@ -696,14 +567,8 @@ func decisionOf(r decision.Record) DecisionRecord {
 		SinceReplan:    r.SinceReplan,
 		Events:         r.Events,
 		World:          r.World,
+		Alternatives:   append([]DecisionAlternative(nil), r.Alternatives...),
 	}
-	if len(r.Alternatives) > 0 {
-		out.Alternatives = make([]DecisionAlternative, len(r.Alternatives))
-		for i, a := range r.Alternatives {
-			out.Alternatives[i] = DecisionAlternative{Choice: a.Choice, Score: a.Score, Chosen: a.Chosen}
-		}
-	}
-	return out
 }
 
 // FlipSpec names one replan decision to invert during a counterfactual
