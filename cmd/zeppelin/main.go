@@ -444,17 +444,12 @@ func parseFlip(s string) (*zeppelin.FlipSpec, error) {
 // bit-identity check with no flip).
 func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	iters := fs.Int("iters", 50, "campaign iterations; must be >= 1")
-	seed := fs.Int64("seed", 0, "campaign RNG seed")
-	arrivalName := fs.String("arrival", "drift", "arrival process: steady|poisson|bursty|drift|replay")
-	datasetName := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
-	driftPath := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
-	policyName := fs.String("policy", "threshold", "replan policy: always|never|threshold|periodic")
-	threshold := fs.Float64("threshold", zeppelin.DefaultThreshold, "imbalance ratio for -policy threshold")
-	every := fs.Int("every", 10, "replan cadence for -policy periodic")
-	replanCost := fs.Float64("replan-cost", zeppelin.DefaultReplanCostSec,
-		"seconds charged per replan; must be >= 0 (0 selects the default)")
-	faultsSpec := fs.String("faults", "none",
+	var req zeppelin.ReplayRequest
+	fs.IntVar(&req.Campaign.Iters, "iters", 50, "campaign iterations; must be >= 1")
+	fs.Int64Var(&req.Campaign.Seed, "seed", 0, "campaign RNG seed")
+	workload := workloadFlags(fs, "drift")
+	policyFlags(fs, &req.Campaign)
+	fs.StringVar(&req.Campaign.Faults, "faults", "none",
 		"fault scenario: none|straggler|nic|failstop|shrink, optionally parameterized as name:key=v,...")
 	flipSpec := fs.String("flip", "", "decision to invert, as iter=N:decision=replan|reuse (empty checks bit-identity)")
 	subJSON := fs.Bool("json", false, "emit the replay report as JSON")
@@ -464,32 +459,15 @@ func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 	if fs.NArg() != 0 {
 		return usageErrorf("replay: unexpected arguments %q", fs.Args())
 	}
-	if *iters < 1 {
-		return usageErrorf("replay: -iters must be >= 1, got %d", *iters)
+	if req.Campaign.Iters < 1 {
+		return usageErrorf("replay: -iters must be >= 1, got %d", req.Campaign.Iters)
 	}
-	if *replanCost < 0 {
-		return usageErrorf("replay: -replan-cost must be >= 0, got %v", *replanCost)
+	if req.Campaign.ReplanCostSec < 0 {
+		return usageErrorf("replay: -replan-cost must be >= 0, got %v", req.Campaign.ReplanCostSec)
 	}
 	jsonOut = jsonOut || *subJSON
 
-	req := zeppelin.ReplayRequest{Campaign: zeppelin.CampaignRequest{
-		Workload: zeppelin.WorkloadSpec{
-			Dataset: *datasetName,
-			Arrival: *arrivalName,
-		},
-		Policy: zeppelin.PolicySpec{
-			Name:      *policyName,
-			Threshold: *threshold,
-			Every:     *every,
-		},
-		Faults:        *faultsSpec,
-		Iters:         *iters,
-		Seed:          *seed,
-		ReplanCostSec: *replanCost,
-	}}
-	if *arrivalName == "drift" {
-		req.Campaign.Workload.DriftPath = strings.Split(*driftPath, ",")
-	}
+	req.Campaign.Workload = workload()
 	if err := req.Campaign.Validate(); err != nil {
 		return usageError{err}
 	}
@@ -523,18 +501,13 @@ func replayCmd(w io.Writer, args []string, jsonOut bool) error {
 // timeline (or the JSON campaign artifact).
 func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	iters := fs.Int("iters", 50, "campaign iterations; must be >= 1")
-	arrivalName := fs.String("arrival", "steady", "arrival process: steady|poisson|bursty|drift|replay")
-	datasetName := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
-	driftPath := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
-	policyName := fs.String("policy", "threshold", "replan policy: always|never|threshold|periodic")
-	threshold := fs.Float64("threshold", zeppelin.DefaultThreshold, "imbalance ratio for -policy threshold")
-	every := fs.Int("every", 10, "replan cadence for -policy periodic")
-	replanCost := fs.Float64("replan-cost", zeppelin.DefaultReplanCostSec,
-		"seconds charged per replan; must be >= 0 (0 selects the default)")
-	capacity := fs.Float64("capacity", 0,
+	var req zeppelin.CampaignRequest
+	fs.IntVar(&req.Iters, "iters", 50, "campaign iterations; must be >= 1")
+	workload := workloadFlags(fs, "steady")
+	policyFlags(fs, &req)
+	fs.Float64Var(&req.Cluster.Capacity, "capacity", 0,
 		"admission capacity factor (per-rank ceiling = capacity × tokens-per-gpu × TP); 0 selects the default (1.25)")
-	faultsSpec := fs.String("faults", "none",
+	fs.StringVar(&req.Faults, "faults", "none",
 		"fault scenario: none|straggler|nic|failstop|shrink, optionally parameterized as name:key=val,...")
 	autoscaleSpec := fs.String("autoscale", "",
 		"closed-loop autoscaler: \"on\" or key=val,... (min|max|up-util|down-util|step|cooldown); empty disables")
@@ -547,11 +520,11 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 	if fs.NArg() != 0 {
 		return usageErrorf("campaign: unexpected arguments %q", fs.Args())
 	}
-	if *iters < 1 {
-		return usageErrorf("campaign: -iters must be >= 1, got %d", *iters)
+	if req.Iters < 1 {
+		return usageErrorf("campaign: -iters must be >= 1, got %d", req.Iters)
 	}
-	if *replanCost < 0 {
-		return usageErrorf("campaign: -replan-cost must be >= 0, got %v", *replanCost)
+	if req.ReplanCostSec < 0 {
+		return usageErrorf("campaign: -replan-cost must be >= 0, got %v", req.ReplanCostSec)
 	}
 	jsonOut = jsonOut || *subJSON
 
@@ -568,10 +541,11 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		if err != nil {
 			return usageError{err}
 		}
-		req := zeppelin.CampaignRequest{
-			Cluster:       zeppelin.ClusterSpec{Capacity: *capacity},
-			Iters:         *iters,
-			ReplanCostSec: *replanCost,
+		// A serve request carries none of the training-cell defaults.
+		req = zeppelin.CampaignRequest{
+			Cluster:       req.Cluster,
+			Iters:         req.Iters,
+			ReplanCostSec: req.ReplanCostSec,
 			Serve:         spec,
 		}
 		if err := req.Validate(); err != nil {
@@ -587,24 +561,7 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		return cmp.WriteText(w)
 	}
 
-	req := zeppelin.CampaignRequest{
-		Cluster: zeppelin.ClusterSpec{Capacity: *capacity},
-		Workload: zeppelin.WorkloadSpec{
-			Dataset: *datasetName,
-			Arrival: *arrivalName,
-		},
-		Policy: zeppelin.PolicySpec{
-			Name:      *policyName,
-			Threshold: *threshold,
-			Every:     *every,
-		},
-		Faults:        *faultsSpec,
-		Iters:         *iters,
-		ReplanCostSec: *replanCost,
-	}
-	if *arrivalName == "drift" {
-		req.Workload.DriftPath = strings.Split(*driftPath, ",")
-	}
+	req.Workload = workload()
 	if *autoscaleSpec != "" {
 		as, err := zeppelin.ParseAutoscaleSpec(*autoscaleSpec)
 		if err != nil {
@@ -625,6 +582,32 @@ func campaignCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) e
 		return cmp.WriteJSON(w)
 	}
 	return cmp.WriteText(w)
+}
+
+// workloadFlags registers the arrival flags campaign, replay and tune
+// share; the returned func reads them back as a WorkloadSpec once fs is
+// parsed.
+func workloadFlags(fs *flag.FlagSet, defaultArrival string) func() zeppelin.WorkloadSpec {
+	arrival := fs.String("arrival", defaultArrival, "arrival process: steady|poisson|bursty|drift|replay")
+	dataset := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
+	drift := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
+	return func() zeppelin.WorkloadSpec {
+		ws := zeppelin.WorkloadSpec{Dataset: *dataset, Arrival: *arrival}
+		if *arrival == "drift" {
+			ws.DriftPath = strings.Split(*drift, ",")
+		}
+		return ws
+	}
+}
+
+// policyFlags registers the replanning flags campaign and replay share,
+// writing them into req.
+func policyFlags(fs *flag.FlagSet, req *zeppelin.CampaignRequest) {
+	fs.StringVar(&req.Policy.Name, "policy", "threshold", "replan policy: always|never|threshold|periodic")
+	fs.Float64Var(&req.Policy.Threshold, "threshold", zeppelin.DefaultThreshold, "imbalance ratio for -policy threshold")
+	fs.IntVar(&req.Policy.Every, "every", 10, "replan cadence for -policy periodic")
+	fs.Float64Var(&req.ReplanCostSec, "replan-cost", zeppelin.DefaultReplanCostSec,
+		"seconds charged per replan; must be >= 0 (0 selects the default)")
 }
 
 // hasFlag reports whether a flag was explicitly set on the command line.
@@ -757,9 +740,7 @@ func tuneCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error
 	iters := fs.Int("iters", zeppelin.DefaultTuneIters, "per-evaluation campaign horizon; must be >= 1")
 	weightsSpec := fs.String("weights", "", "fitness weights as goodput,p99,migration,utilization (empty selects 0.4,0.2,0.2,0.2)")
 	searchSeed := fs.Int64("search-seed", 0, "mutation-stream seed; 0 selects 1")
-	arrivalName := fs.String("arrival", "drift", "arrival process: steady|poisson|bursty|drift|replay")
-	datasetName := fs.String("dataset", "arxiv", "base dataset for steady/poisson/bursty/replay arrivals")
-	driftPath := fs.String("drift", "arxiv,github,prolong64k", "comma-separated dataset waypoints for -arrival drift")
+	workload := workloadFlags(fs, "drift")
 	faultsSpec := fs.String("faults", "none",
 		"fault scenario the evaluations run under: none|straggler|nic|failstop|shrink[:k=v,...]")
 	subJSON := fs.Bool("json", false, "emit the tune report as JSON")
@@ -778,10 +759,7 @@ func tuneCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error
 	jsonOut = jsonOut || *subJSON
 
 	req := zeppelin.TuneRequest{
-		Workload: zeppelin.WorkloadSpec{
-			Dataset: *datasetName,
-			Arrival: *arrivalName,
-		},
+		Workload:   workload(),
 		Faults:     *faultsSpec,
 		Space:      *space,
 		Budget:     *budget,
@@ -789,9 +767,6 @@ func tuneCmd(w io.Writer, args []string, seeds, workers int, jsonOut bool) error
 		Seeds:      seeds,
 		SearchSeed: *searchSeed,
 		Workers:    workers,
-	}
-	if *arrivalName == "drift" {
-		req.Workload.DriftPath = strings.Split(*driftPath, ",")
 	}
 	if *weightsSpec != "" {
 		tw, err := parseTuneWeights(*weightsSpec)
