@@ -201,8 +201,8 @@ func (c *Config) Batch(sample func(total int, rng *rand.Rand) []seq.Sequence) []
 	return sample(c.TotalTokens(), rng)
 }
 
-// Result reports one simulated iteration. The JSON field names are part
-// of the runner's artifact format and must stay stable.
+// Result reports one simulated iteration. No wire artifact carries it;
+// the JSON names only label a dumped result.
 type Result struct {
 	Method    string  `json:"method"`
 	IterTime  float64 `json:"iter_time"`  // seconds per iteration (all layers + host overhead)
