@@ -3,10 +3,16 @@
 // splitting inter-node-zone sequences across nodes to balance
 // communication; Algorithm 2 then partitions within each node, splitting
 // intra-node-zone sequences to balance quadratic attention computation and
-// placing local-zone sequences on the least-loaded devices. Both
-// algorithms iteratively lower their zone threshold whenever a placement
-// would exceed capacity, which guarantees a feasible plan whenever the
-// batch fits in aggregate memory.
+// placing local-zone sequences on the least-loaded devices.
+//
+// Capacity contract: both algorithms lower their zone threshold and
+// retry only when a whole-sequence placement would exceed capacity — a
+// z01 sequence onto a node (P·L) in Alg. 1, a z0 sequence onto a device
+// (L) in Alg. 2. Ring fragments, the inter-node shares they impose, and
+// an intra-zone sequence that collapses to a single fragment are placed
+// unchecked, so a rank can end above L; TestCapacityRespected allows up
+// to 1.1 × L. What the retry loop does guarantee is termination with a
+// token-conserving plan whenever the batch fits in aggregate memory.
 //
 // The solve is one serial pass: Alg. 1 starts at threshold P·L and, on
 // a capacity failure, lowers it to the longest sequence still below it;

@@ -57,6 +57,15 @@
 // schema that is pinned by golden tests (testdata/*.golden.json) and
 // served verbatim by the zeppelind daemon under /v1.
 //
+// The result records the engine itself produces are re-exported as type
+// aliases rather than copied: CampaignEvent and CampaignSummary (the
+// campaign's iteration row and summary), ClassMetrics, DecisionAlternative,
+// and TuneParams, TuneMetrics, TuneFitness and TuneCandidate. Their JSON
+// tags are the v1 schema, so their fields only ever append. Wrapper
+// records whose wire form differs from the engine's — CampaignReport,
+// DecisionRecord, TuneReport, TuneWeights — stay separate structs, as do
+// the request types.
+//
 // The JSON error shape every /v1 endpoint returns on failure is
 // ErrorBody: {"error":{"code":"...","message":"..."}}.
 package zeppelin
