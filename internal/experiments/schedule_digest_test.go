@@ -137,7 +137,8 @@ var scheduleDigests = map[string]string{
 }
 
 // TestScheduleDigests runs NewEnv, Plan and RunPlanned for every method
-// on every digest cell and compares the schedule digest with its pin. The
+// on every digest cell, audits the schedule against the simulator's
+// invariants and compares its digest with the pin. The
 // ProLong64k batch at seed 5 puts sequences on cross-node rings, so the
 // routed and unrouted Zeppelin variants schedule differently and both
 // transfer paths are covered.
@@ -158,6 +159,9 @@ func TestScheduleDigests(t *testing.T) {
 			}
 			if _, err := trainer.RunPlanned(cfg, m.Name(), env, pl, batch); err != nil {
 				t.Fatalf("%s: %v", key, err)
+			}
+			if err := env.E.Audit(); err != nil {
+				t.Errorf("%s: %v", key, err)
 			}
 			if got := fmt.Sprintf("%016x", scheduleDigest(env.E.Tasks())); got != scheduleDigests[key] {
 				t.Errorf("%s: schedule digest %s, want %s", key, got, scheduleDigests[key])

@@ -16,7 +16,11 @@
 //     and act as barriers / join points.
 //
 // The engine is deterministic: identical task graphs produce identical
-// schedules. Ties in event time are broken by creation order.
+// schedules. Completions at the same simulated time are processed in the
+// order their events were pushed, that is, in the order the tasks
+// started; tasks ready when Run begins start in creation order. Creation
+// order alone does not break ties: a task created first but started later
+// completes after a tie partner that started earlier.
 package sim
 
 import (

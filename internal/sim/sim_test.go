@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -285,7 +286,7 @@ func TestPropertySerialWorkConservation(t *testing.T) {
 			e.Compute("t", 0, r, dt)
 		}
 		mk, err := e.Run()
-		if err != nil {
+		if err != nil || e.Audit() != nil {
 			return false
 		}
 		return AlmostEqual(mk, sum)
@@ -326,6 +327,9 @@ func TestPropertyRandomDAGRespectsDeps(t *testing.T) {
 		if cp := e.CriticalPath(); cp > mk+1e-9 {
 			t.Fatalf("iter %d: critical path %v > makespan %v", iter, cp, mk)
 		}
+		if err := e.Audit(); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
 		for _, d := range deps {
 			if tasks[d.to].Start+1e-12 < tasks[d.from].End {
 				t.Fatalf("iter %d: dep %d->%d violated", iter, d.from, d.to)
@@ -356,6 +360,9 @@ func TestPropertyDeterminism(t *testing.T) {
 			tasks = append(tasks, tk)
 		}
 		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Audit(); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]Time, 0, 2*len(tasks))
@@ -405,5 +412,79 @@ func TestResourceSpeedScalesWork(t *testing.T) {
 	}
 	if got := k2.End - k2.Start; got != 10 {
 		t.Fatalf("speed 1 changed duration: %v", got)
+	}
+}
+
+// Completions at equal times are processed in the order their events were
+// pushed, which is start order, not creation order: a is created before b
+// but starts after p, so b, which started at 0, completes first.
+func TestTieBreakIsPushOrderNotCreationOrder(t *testing.T) {
+	e := NewEngine()
+	r1 := e.NewResource("r1", 0)
+	r2 := e.NewResource("r2", 0)
+	r3 := e.NewResource("r3", 0)
+	a := e.Compute("a", 0, r1, 1)
+	e.Compute("b", 0, r2, 1.5)
+	p := e.Compute("p", 0, r3, 0.5)
+	a.After(p)
+	var order []string
+	e.OnTaskDone = func(tk *Task) { order = append(order, tk.Label) }
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(order, " ") != "p b a" {
+		t.Fatalf("completion order = %v, want [p b a]", order)
+	}
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Audit names the constraint a corrupted schedule violates.
+func TestAuditNamesViolatedConstraint(t *testing.T) {
+	cases := []struct {
+		constraint string
+		corrupt    func(e *Engine, tasks map[string]*Task)
+	}{
+		{"starts-after-deps", func(e *Engine, ts map[string]*Task) { ts["d"].Start -= 0.5; ts["d"].End -= 0.5 }},
+		{"runs-exec-time", func(e *Engine, ts map[string]*Task) { ts["x"].End += 1 }},
+		{"serial-resource", func(e *Engine, ts map[string]*Task) {
+			ts["y"].Start, ts["y"].End = ts["x"].End-0.5, ts["x"].End+0.5
+		}},
+		{"fifo-ready-order", func(e *Engine, ts map[string]*Task) {
+			y, z := ts["y"], ts["z"]
+			y.Start, y.End, z.Start, z.End = z.Start, z.End, y.Start, y.End
+		}},
+		{"busy-time", func(e *Engine, ts map[string]*Task) { ts["x"].res.BusyTime += 1 }},
+		{"makespan-bounds-critical-path", func(e *Engine, ts map[string]*Task) { e.now = 0.1 }},
+	}
+	for _, c := range cases {
+		// x runs [0,5] on r; y becomes ready at 1 and z at 2, both queued
+		// behind x; d waits on a 1 s task elsewhere.
+		e := NewEngine()
+		r := e.NewResource("r", 0)
+		o := e.NewResource("o", 0)
+		ts := map[string]*Task{}
+		ts["x"] = e.Compute("x", 0, r, 5)
+		gy := e.Compute("gy", 0, o, 1)
+		ts["y"] = e.Compute("y", 0, r, 1).After(gy)
+		ts["z"] = e.Compute("z", 0, r, 1).After(e.Compute("gz", 0, o, 1))
+		ts["d"] = e.Barrier("d", 0).After(gy)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Audit(); err != nil {
+			t.Fatalf("clean schedule: %v", err)
+		}
+		c.corrupt(e, ts)
+		err := e.Audit()
+		if err == nil || !strings.Contains(err.Error(), ": "+c.constraint+": ") {
+			t.Errorf("%s: audit error %v", c.constraint, err)
+		}
+	}
+	e := NewEngine()
+	e.Compute("never", 0, e.NewResource("r", 0), 1)
+	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "completed") || !strings.Contains(err.Error(), "never") {
+		t.Errorf("un-run engine: audit error %v", err)
 	}
 }
