@@ -24,7 +24,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -145,7 +144,7 @@ type Engine struct {
 	tasks     []*Task
 	resources []*Resource
 	events    eventHeap
-	eventSeq  int
+	eventSeq  int32
 	ran       bool
 
 	// OnTaskDone, if set, is invoked after each task finishes, in
@@ -199,26 +198,72 @@ func (e *Engine) Barrier(label string, rank int) *Task {
 	return e.NewTask(label, KindBarrier, rank, nil)
 }
 
+// event is a pending task completion. It holds no pointers, so the heap
+// never boxes it and the garbage collector never scans the heap's array.
 type event struct {
 	at   Time
-	seq  int
-	task *Task
+	seq  int32 // push order; breaks ties in at
+	task int32 // index into Engine.tasks
 }
 
+func (a event) before(b event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a 4-ary min-heap of events ordered by (at, seq). Since seq
+// is unique the order is total, so pops come out in exactly (at, seq)
+// order whatever the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
+	*h = s
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if s[k].before(s[best]) {
+				best = k
+			}
+		}
+		if !s[best].before(last) {
+			break
+		}
+		s[i] = s[best]
+		i = best
+	}
+	s[i] = last
+	return top
+}
+
 func (e *Engine) push(at Time, t *Task) {
-	heap.Push(&e.events, event{at: at, seq: e.eventSeq, task: t})
+	e.events.push(event{at: at, seq: e.eventSeq, task: int32(t.id)})
 	e.eventSeq++
 }
 
@@ -274,10 +319,10 @@ func (e *Engine) Run() (Time, error) {
 		}
 	}
 	done := 0
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
+	for len(e.events) > 0 {
+		ev := e.events.pop()
 		e.now = ev.at
-		t := ev.task
+		t := e.tasks[ev.task]
 		t.state = stateDone
 		t.End = e.now
 		done++

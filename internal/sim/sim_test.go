@@ -488,3 +488,51 @@ func TestAuditNamesViolatedConstraint(t *testing.T) {
 		t.Errorf("un-run engine: audit error %v", err)
 	}
 }
+
+// ringGraph builds the shape of one layer's ring attention: ranks ranks
+// pass KV blocks around a ring for ranks rounds, each block a send, a
+// receive and a join, each round a compute kernel that waits for the
+// block and for the rank's previous kernel. 36 ranks give ~5k tasks.
+func ringGraph(ranks int) *Engine {
+	e := NewEngine()
+	comp := make([]*Resource, ranks)
+	tx := make([]*Resource, ranks)
+	rx := make([]*Resource, ranks)
+	for i := range comp {
+		comp[i] = e.NewResource("compute", 0)
+		comp[i].Latency = 5e-6
+		tx[i] = e.NewResource("tx", 25e9)
+		tx[i].Latency = 1e-5
+		rx[i] = e.NewResource("rx", 25e9)
+		rx[i].Latency = 1e-5
+	}
+	start := e.Barrier("start", 0)
+	have, next := make([]*Task, ranks), make([]*Task, ranks)
+	last := make([]*Task, ranks)
+	for t := 0; t < ranks; t++ {
+		for i := 0; i < ranks; i++ {
+			if t < ranks-1 {
+				dst := (i + 1) % ranks
+				send := e.Transfer("kv/tx", KindInterComm, i, tx[i], 64<<20).After(start, have[i])
+				recv := e.Transfer("kv/rx", KindInterComm, dst, rx[dst], 64<<20).After(start, have[i])
+				next[dst] = e.Barrier("kv", dst).After(send, recv)
+			}
+			c := e.Compute("comp", i, comp[i], 1e-3*float64(1+(i+t)%3)).After(start, have[i], last[i])
+			last[i] = c
+		}
+		have, next = next, have
+	}
+	return e
+}
+
+func BenchmarkEngineRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := ringGraph(36)
+		b.StartTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
