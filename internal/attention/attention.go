@@ -16,8 +16,6 @@
 package attention
 
 import (
-	"fmt"
-
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/costmodel"
 	"zeppelin/internal/model"
@@ -41,15 +39,15 @@ func New(f *cluster.Fabric, r *routing.Router, cm *costmodel.Model) *Engine {
 
 // pass direction controls compute/comm scaling and queue order.
 type pass struct {
-	name        string
+	stage       sim.Stage
 	computeMul  float64
 	commMul     float64
 	reverseTier bool // backward executes local -> intra -> inter
 }
 
 var (
-	fwd = pass{name: "fwd", computeMul: 1, commMul: 1}
-	bwd = pass{name: "bwd", computeMul: costmodel.BwdComputeFactor,
+	fwd = pass{stage: sim.StageAttnFwd, computeMul: 1, commMul: 1}
+	bwd = pass{stage: sim.StageAttnBwd, computeMul: costmodel.BwdComputeFactor,
 		commMul: costmodel.BwdCommFactor, reverseTier: true}
 )
 
@@ -84,7 +82,7 @@ func (en *Engine) emit(plan *seq.Plan, p pass, deps []*sim.Task) *sim.Task {
 		for rank := 0; rank < world; rank++ {
 			for _, s := range plan.Local[rank] {
 				d := en.CM.CausalAttnTime(float64(s.Len)) * p.computeMul
-				t := en.F.ComputeTask(fmt.Sprintf("attn-%s/local/seq%d", p.name, s.ID), rank, d)
+				t := en.F.ComputeTask(p.stage.Label().With(sim.SegLocal, s.ID), rank, d)
 				t.After(deps...)
 				t.After(lastComp[rank])
 				lastComp[rank] = t
@@ -107,7 +105,7 @@ func (en *Engine) emit(plan *seq.Plan, p pass, deps []*sim.Task) *sim.Task {
 		emitLocal()
 	}
 
-	done := en.F.E.Barrier("attn-"+p.name+"/done", 0)
+	done := en.F.E.Barrier(p.stage.Label().With(sim.SegDone), 0)
 	for rank := 0; rank < world; rank++ {
 		done.After(lastComp[rank])
 	}
@@ -137,7 +135,7 @@ func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*
 				costmodel.RingRoundOverhead
 		}
 	}
-	Ring(en.F, en.R, fmt.Sprintf("attn-%s/ring%d", p.name, ring.Seq.ID), ring.Ranks,
+	Ring(en.F, en.R, p.stage.Label().With(sim.SegRing, ring.Seq.ID), ring.Ranks,
 		perRound, en.CM.KVBytes(s/float64(g))*p.commMul, deps, lastComp)
 }
 
@@ -150,7 +148,7 @@ func (en *Engine) emitRing(ring seq.Ring, p pass, deps []*sim.Task, lastComp []*
 // "<prefix>/r<t>/kv<src>-><dst>" and "<prefix>/r<t>/comp@<rank>". Every
 // task waits on deps, and lastComp (indexed by rank) chains each rank's
 // compute stream across calls.
-func Ring(f *cluster.Fabric, r *routing.Router, prefix string, ranks []int,
+func Ring(f *cluster.Fabric, r *routing.Router, prefix sim.Label, ranks []int,
 	perRound []float64, blockBytes float64, deps, lastComp []*sim.Task) {
 	g := len(ranks)
 	// have[i] is the task whose completion delivers the KV block ranks[i]
@@ -168,10 +166,10 @@ func Ring(f *cluster.Fabric, r *routing.Router, prefix string, ranks []int,
 				if have[i] != nil {
 					xDeps = append(xDeps, have[i])
 				}
-				next[(i+1)%g] = r.Transfer(fmt.Sprintf("%s/r%d/kv%d->%d", prefix, t, rank, dst),
+				next[(i+1)%g] = r.Transfer(prefix.With(sim.SegRoundKV, t, rank, dst),
 					rank, dst, blockBytes, xDeps...)
 			}
-			comp := f.ComputeTask(fmt.Sprintf("%s/r%d/comp@%d", prefix, t, rank), rank, perRound[i])
+			comp := f.ComputeTask(prefix.With(sim.SegRoundComp, t, rank), rank, perRound[i])
 			comp.After(deps...)
 			comp.After(have[i])        // wait for this round's KV block
 			comp.After(lastComp[rank]) // keep the compute stream ordered

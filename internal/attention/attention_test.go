@@ -205,7 +205,7 @@ func TestTierOrderingInterBeforeLocal(t *testing.T) {
 		if tk.Kind != sim.KindCompute || tk.Rank != 0 {
 			continue
 		}
-		if tk.Label == "attn-fwd/local/seq1" {
+		if tk.Label.String() == "attn-fwd/local/seq1" {
 			localStart = tk.Start
 		} else if tk.End > lastRingEnd {
 			lastRingEnd = tk.End
@@ -235,7 +235,7 @@ func TestBackwardReversesTierOrder(t *testing.T) {
 		if tk.Kind != sim.KindCompute || tk.Rank != 0 {
 			continue
 		}
-		if tk.Label == "attn-bwd/local/seq1" {
+		if tk.Label.String() == "attn-bwd/local/seq1" {
 			localEnd = tk.End
 		} else if tk.Start < firstRingStart {
 			firstRingStart = tk.Start

@@ -29,7 +29,7 @@ const hostOverheadBase = 0.5e-3
 // evenRing runs attention.Ring over ranks with even 2G-chunk causal
 // balancing: each round every rank computes 1/G² of the pairs causal
 // pairs and forwards a KV block of tokens/G tokens.
-func evenRing(env *trainer.Env, r *routing.Router, prefix string, ranks []int,
+func evenRing(env *trainer.Env, r *routing.Router, prefix sim.Label, ranks []int,
 	pairs, tokens, computeMul, commMul float64, lastComp, deps []*sim.Task) {
 	g := len(ranks)
 	d := env.CM.AttnTimePairs(pairs/float64(g*g))*computeMul + costmodel.RingRoundOverhead
@@ -115,14 +115,14 @@ type tecpPlacement struct {
 }
 
 func (p *tecpPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, commMul, name := 1.0, 1.0, "attn-fwd/tecp"
+	computeMul, commMul, name := 1.0, 1.0, sim.StageAttnFwd.Label().With(sim.SegTECP)
 	if backward {
-		computeMul, commMul, name = 2.0, 2.0, "attn-bwd/tecp"
+		computeMul, commMul, name = 2.0, 2.0, sim.StageAttnBwd.Label().With(sim.SegTECP)
 	}
 	g := env.C.World()
 	lastComp := make([]*sim.Task, g)
 	if g == 1 {
-		t := env.F.ComputeTask(name+"/comp", 0, env.CM.AttnTimePairs(p.pairs)*computeMul)
+		t := env.F.ComputeTask(name.With(sim.SegComp), 0, env.CM.AttnTimePairs(p.pairs)*computeMul)
 		t.After(deps...)
 		lastComp[0] = t
 	} else {
@@ -132,7 +132,7 @@ func (p *tecpPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*
 		}
 		evenRing(env, p.router, name, ranks, p.pairs, float64(p.tokens), computeMul, commMul, lastComp, deps)
 	}
-	done := env.E.Barrier(name+"/done", 0)
+	done := env.E.Barrier(name.With(sim.SegDone), 0)
 	done.After(deps...)
 	for _, t := range lastComp {
 		done.After(t)
@@ -184,25 +184,25 @@ type llamaPlacement struct {
 // via the collective substrate. The returned barrier gates attention
 // compute (no overlap — this is the critical-path cost the paper's
 // motivation cites).
-func (p *llamaPlacement) emitAllGather(env *trainer.Env, label string, volMul float64, deps []*sim.Task) *sim.Task {
+func (p *llamaPlacement) emitAllGather(env *trainer.Env, label sim.Label, volMul float64, deps []*sim.Task) *sim.Task {
 	world := env.C.World()
 	perRank := env.CM.KVBytes(float64(p.tokens)) * volMul / float64(world)
 	return collective.AllGather(env.F, label, perRank, deps...)
 }
 
 func (p *llamaPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, volMul, name := 1.0, 1.0, "attn-fwd/llama"
+	computeMul, volMul, name := 1.0, 1.0, sim.StageAttnFwd.Label().With(sim.SegLLaMA)
 	if backward {
 		// Backward re-gathers KV and reduce-scatters dKV: 2× volume.
-		computeMul, volMul, name = 2.0, 2.0, "attn-bwd/llama"
+		computeMul, volMul, name = 2.0, 2.0, sim.StageAttnBwd.Label().With(sim.SegLLaMA)
 	}
-	gathered := p.emitAllGather(env, name+"/allgather", volMul, deps)
+	gathered := p.emitAllGather(env, name.With(sim.SegAllGather), volMul, deps)
 	world := env.C.World()
 	perRank := env.CM.AttnTimePairs(p.pairs/float64(world)) * computeMul
-	done := env.E.Barrier(name+"/done", 0)
+	done := env.E.Barrier(name.With(sim.SegDone), 0)
 	done.After(gathered)
 	for rank := 0; rank < world; rank++ {
-		t := env.F.ComputeTask(fmt.Sprintf("%s/comp@%d", name, rank), rank, perRank)
+		t := env.F.ComputeTask(name.With(sim.SegCompAt, rank), rank, perRank)
 		t.After(gathered)
 		done.After(t)
 	}
@@ -323,25 +323,25 @@ type hybridPlacement struct {
 // emitGroupRing runs balanced ring attention for one sequence over its
 // assigned block (direct sends — hybrid methods keep the static GPU–NIC
 // affinity the routing layer would break).
-func (p *hybridPlacement) emitGroupRing(env *trainer.Env, name string, a assignment,
+func (p *hybridPlacement) emitGroupRing(env *trainer.Env, name sim.Label, a assignment,
 	computeMul, commMul float64, lastComp []*sim.Task, deps []*sim.Task) {
 	if len(a.ranks) == 1 {
 		rank := a.ranks[0]
-		t := env.F.ComputeTask(fmt.Sprintf("%s/dp-seq%d@%d", name, a.s.ID, rank),
+		t := env.F.ComputeTask(name.With(sim.SegDPSeq, a.s.ID, rank),
 			rank, env.CM.CausalAttnTime(float64(a.s.Len))*computeMul)
 		t.After(deps...)
 		t.After(lastComp[rank])
 		lastComp[rank] = t
 		return
 	}
-	evenRing(env, p.router, fmt.Sprintf("%s/cp-seq%d", name, a.s.ID), a.ranks,
+	evenRing(env, p.router, name.With(sim.SegCPSeq, a.s.ID), a.ranks,
 		model.CausalPairs(float64(a.s.Len)), float64(a.s.Len), computeMul, commMul, lastComp, deps)
 }
 
 func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, commMul, name := 1.0, 1.0, "attn-fwd/hybrid"
+	computeMul, commMul, name := 1.0, 1.0, sim.StageAttnFwd.Label().With(sim.SegHybrid)
 	if backward {
-		computeMul, commMul, name = 2.0, 2.0, "attn-bwd/hybrid"
+		computeMul, commMul, name = 2.0, 2.0, sim.StageAttnBwd.Label().With(sim.SegHybrid)
 	}
 	world := env.C.World()
 	// Micro-batches execute as lock-stepped waves (gradient-accumulation
@@ -366,7 +366,7 @@ func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ..
 			maxWave = w
 		}
 	}
-	prev := env.E.Barrier(name+"/wave-start", 0)
+	prev := env.E.Barrier(name.With(sim.SegWaveStart), 0)
 	prev.After(deps...)
 	for w := 0; w <= maxWave; w++ {
 		lastComp := make([]*sim.Task, world)
@@ -374,7 +374,7 @@ func (p *hybridPlacement) EmitAttention(env *trainer.Env, backward bool, deps ..
 		for _, a := range waves[w] {
 			p.emitGroupRing(env, name, a, computeMul, commMul, lastComp, waveDeps)
 		}
-		bar := env.E.Barrier(fmt.Sprintf("%s/wave%d", name, w), 0)
+		bar := env.E.Barrier(name.With(sim.SegWave, w), 0)
 		bar.After(prev)
 		for _, t := range lastComp {
 			bar.After(t)

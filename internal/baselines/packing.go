@@ -87,7 +87,7 @@ type packingPlacement struct {
 // group (sequence-partition ↔ head-partition switch). Volume per rank is
 // width × tokens/world × (world−1)/world, which is zero — so nothing is
 // emitted — on a one-rank world.
-func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label string, widths float64, mul float64, deps []*sim.Task) *sim.Task {
+func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label sim.Label, widths float64, mul float64, deps []*sim.Task) *sim.Task {
 	world := env.C.World()
 	perRank := widths * env.CM.ActBytes(float64(p.tokens)/float64(world)) *
 		float64(world-1) / float64(world) * mul
@@ -99,23 +99,23 @@ func (p *packingPlacement) emitUlyssesAllToAll(env *trainer.Env, label string, w
 }
 
 func (p *packingPlacement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.Task) *sim.Task {
-	computeMul, name := 1.0, "attn-fwd/packing"
+	computeMul, name := 1.0, sim.StageAttnFwd.Label().With(sim.SegPacking)
 	if backward {
-		computeMul, name = 2.0, "attn-bwd/packing"
+		computeMul, name = 2.0, sim.StageAttnBwd.Label().With(sim.SegPacking)
 	}
 	world := env.C.World()
 	// All-to-all in: QKV widths (≈3 hidden-sized tensors).
-	in := p.emitUlyssesAllToAll(env, name+"/a2a-in", 3, computeMul, deps)
+	in := p.emitUlyssesAllToAll(env, name.With(sim.SegA2AIn), 3, computeMul, deps)
 	perRank := env.CM.AttnTimePairs(p.packedPairs/float64(world)) * computeMul
-	compDone := env.E.Barrier(name+"/comp-done", 0)
+	compDone := env.E.Barrier(name.With(sim.SegCompDone), 0)
 	compDone.After(in)
 	for rank := 0; rank < world; rank++ {
-		t := env.F.ComputeTask(fmt.Sprintf("%s/comp@%d", name, rank), rank, perRank)
+		t := env.F.ComputeTask(name.With(sim.SegCompAt, rank), rank, perRank)
 		t.After(in)
 		compDone.After(t)
 	}
 	// All-to-all out: the attention output (1 hidden-sized tensor).
-	return p.emitUlyssesAllToAll(env, name+"/a2a-out", 1, computeMul, []*sim.Task{compDone})
+	return p.emitUlyssesAllToAll(env, name.With(sim.SegA2AOut), 1, computeMul, []*sim.Task{compDone})
 }
 
 func (p *packingPlacement) LinearEffectiveTokens(env *trainer.Env) []float64 {

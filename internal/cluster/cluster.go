@@ -183,21 +183,21 @@ func NewFabric(e *sim.Engine, c *Cluster) *Fabric {
 	f := &Fabric{C: c, E: e}
 	world := c.World()
 	for r := 0; r < world; r++ {
-		comp := e.NewResource(fmt.Sprintf("gpu%d/compute", r), 0)
+		comp := e.NewResource(sim.ResourceName{Class: sim.ResCompute, Index: r}, 0)
 		comp.Latency = c.LaunchLatency
 		f.Compute = append(f.Compute, comp)
 
-		is := e.NewResource(fmt.Sprintf("gpu%d/nvs-out", r), c.IntraBandwidth)
+		is := e.NewResource(sim.ResourceName{Class: sim.ResNVSOut, Index: r}, c.IntraBandwidth)
 		is.Latency = c.IntraLatency
-		ir := e.NewResource(fmt.Sprintf("gpu%d/nvs-in", r), c.IntraBandwidth)
+		ir := e.NewResource(sim.ResourceName{Class: sim.ResNVSIn, Index: r}, c.IntraBandwidth)
 		ir.Latency = c.IntraLatency
 		f.IntraSend = append(f.IntraSend, is)
 		f.IntraRecv = append(f.IntraRecv, ir)
 	}
 	for n := 0; n < c.Nodes*c.NICsPerNode; n++ {
-		s := e.NewResource(fmt.Sprintf("nic%d/tx", n), c.NICBandwidth)
+		s := e.NewResource(sim.ResourceName{Class: sim.ResNICTx, Index: n}, c.NICBandwidth)
 		s.Latency = c.InterLatency
-		r := e.NewResource(fmt.Sprintf("nic%d/rx", n), c.NICBandwidth)
+		r := e.NewResource(sim.ResourceName{Class: sim.ResNICRx, Index: n}, c.NICBandwidth)
 		r.Latency = c.InterLatency
 		f.NICSend = append(f.NICSend, s)
 		f.NICRecv = append(f.NICRecv, r)
@@ -211,7 +211,7 @@ func NewFabric(e *sim.Engine, c *Cluster) *Fabric {
 // link (send and receive run concurrently when uncontended, so an
 // uncontended transfer costs bytes/bandwidth once, not twice). A transfer
 // to self completes immediately after deps.
-func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Task) *sim.Task {
+func (f *Fabric) Send(label sim.Label, src, dst int, bytes float64, deps ...*sim.Task) *sim.Task {
 	if src == dst || bytes <= 0 {
 		return f.E.Barrier(label, dst).After(deps...)
 	}
@@ -223,9 +223,9 @@ func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Ta
 		kind = sim.KindInterComm
 		tx, rx = f.NICSend[f.C.NICOf(src)], f.NICRecv[f.C.NICOf(dst)]
 	}
-	send := f.E.Transfer(label+"/tx", kind, src, tx, bytes)
+	send := f.E.Transfer(label.With(sim.SegTx), kind, src, tx, bytes)
 	send.After(deps...)
-	recv := f.E.Transfer(label+"/rx", kind, dst, rx, bytes)
+	recv := f.E.Transfer(label.With(sim.SegRx), kind, dst, rx, bytes)
 	recv.After(deps...)
 	return f.E.Barrier(label, dst).After(send, recv)
 }
@@ -234,22 +234,22 @@ func (f *Fabric) Send(label string, src, dst int, bytes float64, deps ...*sim.Ta
 // each side, regardless of GPU affinity. The routing layer uses this to
 // spread one logical flow over all NICs of a node. Panics if src and dst
 // share a node (routing never re-routes intra-node traffic).
-func (f *Fabric) SendVia(label string, src, dst, srcNIC, dstNIC int, bytes float64, deps ...*sim.Task) *sim.Task {
+func (f *Fabric) SendVia(label sim.Label, src, dst, srcNIC, dstNIC int, bytes float64, deps ...*sim.Task) *sim.Task {
 	if f.C.SameNode(src, dst) {
 		panic("cluster: SendVia requires cross-node endpoints")
 	}
 	if bytes <= 0 {
 		return f.E.Barrier(label, dst).After(deps...)
 	}
-	send := f.E.Transfer(label+"/tx", sim.KindInterComm, src, f.NICSend[srcNIC], bytes)
+	send := f.E.Transfer(label.With(sim.SegTx), sim.KindInterComm, src, f.NICSend[srcNIC], bytes)
 	send.After(deps...)
-	recv := f.E.Transfer(label+"/rx", sim.KindInterComm, dst, f.NICRecv[dstNIC], bytes)
+	recv := f.E.Transfer(label.With(sim.SegRx), sim.KindInterComm, dst, f.NICRecv[dstNIC], bytes)
 	recv.After(deps...)
 	return f.E.Barrier(label, dst).After(send, recv)
 }
 
 // ComputeTask schedules a fixed-duration kernel on a rank's compute stream.
-func (f *Fabric) ComputeTask(label string, rank int, d sim.Time, deps ...*sim.Task) *sim.Task {
+func (f *Fabric) ComputeTask(label sim.Label, rank int, d sim.Time, deps ...*sim.Task) *sim.Task {
 	t := f.E.Compute(label, rank, f.Compute[rank], d)
 	t.After(deps...)
 	return t

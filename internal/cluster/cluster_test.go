@@ -86,7 +86,7 @@ func TestFabricIntraTransferTime(t *testing.T) {
 	e := sim.NewEngine()
 	c := MustNew(ClusterA, 1)
 	f := NewFabric(e, c)
-	done := f.Send("kv", 0, 1, 400e9) // 400 GB at 400 GB/s = 1 s
+	done := f.Send(sim.Named("kv"), 0, 1, 400e9) // 400 GB at 400 GB/s = 1 s
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestFabricInterTransferTime(t *testing.T) {
 	e := sim.NewEngine()
 	c := MustNew(ClusterA, 2)
 	f := NewFabric(e, c)
-	f.Send("kv", 0, 8, 25e9) // 25 GB at 25 GB/s = 1 s
+	f.Send(sim.Named("kv"), 0, 8, 25e9) // 25 GB at 25 GB/s = 1 s
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestFabricSelfSendFree(t *testing.T) {
 	e := sim.NewEngine()
 	c := MustNew(ClusterA, 1)
 	f := NewFabric(e, c)
-	f.Send("self", 3, 3, 1e12)
+	f.Send(sim.Named("self"), 3, 3, 1e12)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +138,8 @@ func TestSharedNICSerializes(t *testing.T) {
 		c := MustNew(spec, 2)
 		f := NewFabric(e, c)
 		bytes := spec.NICBandwidth // exactly 1 second each
-		f.Send("a", 0, c.GPUsPerNode, bytes)
-		f.Send("b", 1, c.GPUsPerNode+1, bytes)
+		f.Send(sim.Named("a"), 0, c.GPUsPerNode, bytes)
+		f.Send(sim.Named("b"), 1, c.GPUsPerNode+1, bytes)
 		mk, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSendViaUsesChosenNIC(t *testing.T) {
 	c := MustNew(ClusterA, 2)
 	f := NewFabric(e, c)
 	// Route rank0's flow through NIC 3 (normally serves GPUs 6,7).
-	f.SendVia("routed", 0, 8, 3, 4, c.NICBandwidth)
+	f.SendVia(sim.Named("routed"), 0, 8, 3, 4, c.NICBandwidth)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -186,14 +186,14 @@ func TestSendViaPanicsIntraNode(t *testing.T) {
 	e := sim.NewEngine()
 	c := MustNew(ClusterA, 1)
 	f := NewFabric(e, c)
-	f.SendVia("bad", 0, 1, 0, 0, 10)
+	f.SendVia(sim.Named("bad"), 0, 1, 0, 0, 10)
 }
 
 func TestComputeTaskLaunchLatency(t *testing.T) {
 	e := sim.NewEngine()
 	c := MustNew(ClusterA, 1)
 	f := NewFabric(e, c)
-	f.ComputeTask("k", 0, 0.001)
+	f.ComputeTask(sim.Named("k"), 0, 0.001)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestDisjointIntraSendsOverlap(t *testing.T) {
 	c := MustNew(ClusterB, 1)
 	f := NewFabric(e, c)
 	for i := 0; i < 4; i++ {
-		f.Send("p", 2*i, 2*i+1, c.IntraBandwidth/10) // 0.1 s each
+		f.Send(sim.Named("p"), 2*i, 2*i+1, c.IntraBandwidth/10) // 0.1 s each
 	}
 	mk, err := e.Run()
 	if err != nil {

@@ -103,7 +103,7 @@ func TestDegradedComputeTaskTime(t *testing.T) {
 	e := sim.NewEngine()
 	f := NewFabric(e, c)
 	f.Degrade(&Health{Slow: []float64{2}})
-	tk := f.ComputeTask("k", 0, 10e-3)
+	tk := f.ComputeTask(sim.Named("k"), 0, 10e-3)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/sim"
 )
@@ -30,7 +28,7 @@ const allGatherEff = 0.55
 // allGatherEff, one channel per NIC, and every rank ingests the full
 // remote volume over its NVSwitch port. Latency per channel hop is
 // included via the fabric's link latencies.
-func AllGather(f *cluster.Fabric, label string, bytesPerRank float64, deps ...*sim.Task) *sim.Task {
+func AllGather(f *cluster.Fabric, label sim.Label, bytesPerRank float64, deps ...*sim.Task) *sim.Task {
 	c := f.C
 	world := c.World()
 	done := f.E.Barrier(label, 0)
@@ -46,10 +44,10 @@ func AllGather(f *cluster.Fabric, label string, bytesPerRank float64, deps ...*s
 			anchor := c.RanksOfNode(n)[0]
 			for k := 0; k < c.NICsPerNode; k++ {
 				nic := n*c.NICsPerNode + k
-				rx := f.E.Transfer(fmt.Sprintf("%s/node%d/ch%d/rx", label, n, k),
+				rx := f.E.Transfer(label.With(sim.SegNodeChannel, n, k).With(sim.SegRx),
 					sim.KindInterComm, anchor, f.NICRecv[nic], perNIC)
 				rx.After(deps...)
-				tx := f.E.Transfer(fmt.Sprintf("%s/node%d/ch%d/tx", label, n, k),
+				tx := f.E.Transfer(label.With(sim.SegNodeChannel, n, k).With(sim.SegTx),
 					sim.KindInterComm, anchor, f.NICSend[nic], perNIC)
 				tx.After(deps...)
 				done.After(rx, tx)
@@ -59,7 +57,7 @@ func AllGather(f *cluster.Fabric, label string, bytesPerRank float64, deps ...*s
 	// NVSwitch collectives run close to peak; derate mildly.
 	perRank := total * float64(world-1) / float64(world) / 0.8
 	for rank := 0; rank < world; rank++ {
-		rx := f.E.Transfer(fmt.Sprintf("%s/rank%d/nvs", label, rank),
+		rx := f.E.Transfer(label.With(sim.SegRankNVS, rank),
 			sim.KindIntraComm, rank, f.IntraRecv[rank], perRank)
 		rx.After(deps...)
 		done.After(rx)
@@ -72,9 +70,9 @@ func AllGather(f *cluster.Fabric, label string, bytesPerRank float64, deps ...*s
 // the rank's NIC in both directions and the rest leaves over its NVSwitch
 // port. A rank whose volume is ≤ 0 emits nothing, so a world whose
 // volumes are all zero reduces to the returned "<label>/done" barrier.
-func AllToAll(f *cluster.Fabric, label string, vol []float64, deps ...*sim.Task) *sim.Task {
+func AllToAll(f *cluster.Fabric, label sim.Label, vol []float64, deps ...*sim.Task) *sim.Task {
 	c := f.C
-	done := f.E.Barrier(label+"/done", 0)
+	done := f.E.Barrier(label.With(sim.SegDone), 0)
 	done.After(deps...)
 	crossFrac := 0.0
 	if c.Nodes > 1 {
@@ -86,15 +84,15 @@ func AllToAll(f *cluster.Fabric, label string, vol []float64, deps ...*sim.Task)
 		}
 		if crossFrac > 0 {
 			nic := c.NICOf(rank)
-			tx := f.E.Transfer(fmt.Sprintf("%s/tx@%d", label, rank),
+			tx := f.E.Transfer(label.With(sim.SegTxAt, rank),
 				sim.KindInterComm, rank, f.NICSend[nic], v*crossFrac)
 			tx.After(deps...)
-			rx := f.E.Transfer(fmt.Sprintf("%s/rx@%d", label, rank),
+			rx := f.E.Transfer(label.With(sim.SegRxAt, rank),
 				sim.KindInterComm, rank, f.NICRecv[nic], v*crossFrac)
 			rx.After(deps...)
 			done.After(tx, rx)
 		}
-		intra := f.E.Transfer(fmt.Sprintf("%s/nvs@%d", label, rank),
+		intra := f.E.Transfer(label.With(sim.SegNVSAt, rank),
 			sim.KindIntraComm, rank, f.IntraSend[rank], v*(1-crossFrac))
 		intra.After(deps...)
 		done.After(intra)
@@ -112,14 +110,14 @@ type Transfer struct {
 // point-to-point send; the barrier completes when all have arrived. This
 // is the primitive the remapping layer executes (§4 "dynamic-shape
 // alltoallv primitive that supports both forward and backward passes").
-func AllToAllV(f *cluster.Fabric, label string, transfers []Transfer, deps ...*sim.Task) *sim.Task {
+func AllToAllV(f *cluster.Fabric, label sim.Label, transfers []Transfer, deps ...*sim.Task) *sim.Task {
 	done := f.E.Barrier(label, 0)
 	done.After(deps...)
 	for i, tr := range transfers {
 		if tr.Bytes <= 0 || tr.From == tr.To {
 			continue
 		}
-		done.After(f.Send(fmt.Sprintf("%s/%d[%d->%d]", label, i, tr.From, tr.To),
+		done.After(f.Send(label.With(sim.SegElement, i, tr.From, tr.To),
 			tr.From, tr.To, tr.Bytes, deps...))
 	}
 	return done

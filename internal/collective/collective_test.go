@@ -20,7 +20,7 @@ func TestAllGatherSingleRankFree(t *testing.T) {
 	}
 	e1 := sim.NewEngine()
 	f1 := cluster.NewFabric(e1, cluster.MustNew(one, 1))
-	AllGather(f1, "ag", 1e9)
+	AllGather(f1, sim.Named("ag"), 1e9)
 	mk, err := e1.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestAllGatherSingleRankFree(t *testing.T) {
 
 func TestAllGatherZeroBytesFree(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 2)
-	AllGather(f, "ag", 0)
+	AllGather(f, sim.Named("ag"), 0)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestAllGatherZeroBytesFree(t *testing.T) {
 
 func TestAllGatherUsesAllNICs(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 2)
-	AllGather(f, "ag", 1e8)
+	AllGather(f, sim.Named("ag"), 1e8)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAllGatherUsesAllNICs(t *testing.T) {
 func TestAllGatherBandwidthModel(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 2)
 	per := 1e8
-	AllGather(f, "ag", per)
+	AllGather(f, sim.Named("ag"), per)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestAllGatherBandwidthModel(t *testing.T) {
 
 func TestAllToAllVSkipsDegenerate(t *testing.T) {
 	e, f := fab(t, cluster.ClusterA, 1)
-	AllToAllV(f, "a2a", []Transfer{
+	AllToAllV(f, sim.Named("a2a"), []Transfer{
 		{From: 0, To: 0, Bytes: 1e9}, // self
 		{From: 1, To: 2, Bytes: 0},   // empty
 	})
@@ -97,7 +97,7 @@ func TestAllToAllVParallelism(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ts = append(ts, Transfer{From: 2 * i, To: 2*i + 1, Bytes: f.C.IntraBandwidth / 10})
 	}
-	AllToAllV(f, "a2a", ts)
+	AllToAllV(f, sim.Named("a2a"), ts)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestAllToAllSkipsEmptyRanks(t *testing.T) {
 		vol[r] = 1e6
 	}
 	vol[3] = 0
-	AllToAll(f, "a2a", vol)
+	AllToAll(f, sim.Named("a2a"), vol)
 	perRank := map[int]int{}
 	for _, tk := range e.Tasks() {
 		if tk.Kind != sim.KindBarrier {
@@ -135,7 +135,7 @@ func TestAllToAllSkipsEmptyRanks(t *testing.T) {
 	for r := range vol {
 		vol[r] = 1e6
 	}
-	AllToAll(f, "a2a", vol)
+	AllToAll(f, sim.Named("a2a"), vol)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"zeppelin/internal/baselines"
@@ -28,7 +30,7 @@ func scheduleDigest(tasks []*sim.Task) uint64 {
 		h.Write(b[:])
 	}
 	for _, t := range tasks {
-		h.Write([]byte(t.Label))
+		h.Write([]byte(t.Label.String()))
 		h.Write([]byte{0, byte(t.Kind)})
 		u64(uint64(int64(t.Rank)))
 		for _, f := range []float64{t.Duration, t.Size, t.Start, t.End} {
@@ -36,6 +38,33 @@ func scheduleDigest(tasks []*sim.Task) uint64 {
 		}
 	}
 	return h.Sum64()
+}
+
+// prefixPhases is trainer's per-rank phase breakdown as it was computed
+// from text labels, by the first of five label prefixes a task matches.
+// It stays as the oracle for the switch on typed label stages.
+func prefixPhases(tasks []*sim.Task, world int) map[string][]float64 {
+	out := make(map[string][]float64)
+	for _, t := range tasks {
+		if t.Kind == sim.KindBarrier {
+			continue
+		}
+		label := t.Label.String()
+		key := "other"
+		for _, p := range []string{"attn-fwd", "attn-bwd", "linear-fwd", "linear-bwd", "remap"} {
+			if strings.HasPrefix(label, p) {
+				key = p
+				break
+			}
+		}
+		if out[key] == nil {
+			out[key] = make([]float64, world)
+		}
+		if t.Rank >= 0 && t.Rank < world {
+			out[key][t.Rank] += t.End - t.Start
+		}
+	}
+	return out
 }
 
 // digestMethods are the methods the schedule digests cover: the four
@@ -138,7 +167,8 @@ var scheduleDigests = map[string]string{
 
 // TestScheduleDigests runs NewEnv, Plan and RunPlanned for every method
 // on every digest cell, audits the schedule against the simulator's
-// invariants and compares its digest with the pin. The
+// invariants, checks the per-rank phase breakdown against the
+// label-prefix oracle and compares the digest with its pin. The
 // ProLong64k batch at seed 5 puts sequences on cross-node rings, so the
 // routed and unrouted Zeppelin variants schedule differently and both
 // transfer paths are covered.
@@ -157,11 +187,15 @@ func TestScheduleDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			if _, err := trainer.RunPlanned(cfg, m.Name(), env, pl, batch); err != nil {
+			res, err := trainer.RunPlanned(cfg, m.Name(), env, pl, batch)
+			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
 			if err := env.E.Audit(); err != nil {
 				t.Errorf("%s: %v", key, err)
+			}
+			if want := prefixPhases(env.E.Tasks(), env.C.World()); !reflect.DeepEqual(res.PerRankPhase, want) {
+				t.Errorf("%s: per-rank phases %v, label-prefix oracle %v", key, res.PerRankPhase, want)
 			}
 			if got := fmt.Sprintf("%016x", scheduleDigest(env.E.Tasks())); got != scheduleDigests[key] {
 				t.Errorf("%s: schedule digest %s, want %s", key, got, scheduleDigests[key])

@@ -379,7 +379,7 @@ func rebalanceNode(c *cluster.Cluster, node int, tokens, target, intraSent []int
 // fabric (the primitive the paper's implementation uses, §4); the
 // returned barrier completes when every token has arrived. bytesPerToken
 // converts token counts to wire bytes (activation width × element size).
-func Emit(f *cluster.Fabric, label string, p *Plan, bytesPerToken float64, deps ...*sim.Task) *sim.Task {
+func Emit(f *cluster.Fabric, label sim.Label, p *Plan, bytesPerToken float64, deps ...*sim.Task) *sim.Task {
 	transfers := make([]collective.Transfer, 0, len(p.Transfers))
 	for _, tr := range p.Transfers {
 		transfers = append(transfers, collective.Transfer{

@@ -261,7 +261,7 @@ func TestEmitAllToAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := Emit(f, "remap", p, 8192)
+	done := Emit(f, sim.Named("remap"), p, 8192)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestEmitEmptyPlan(t *testing.T) {
 	c := cluster.MustNew(cluster.ClusterA, 1)
 	f := cluster.NewFabric(e, c)
 	p := &Plan{Target: make([]int, 8)}
-	Emit(f, "noop", p, 8192)
+	Emit(f, sim.Named("noop"), p, 8192)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

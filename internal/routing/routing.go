@@ -9,8 +9,6 @@
 package routing
 
 import (
-	"fmt"
-
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/sim"
 )
@@ -42,7 +40,7 @@ func New(f *cluster.Fabric, enabled bool) *Router {
 // completes when all data has arrived. Intra-node and self transfers are
 // always sent directly; cross-node transfers are routed in three steps
 // when routing is enabled.
-func (r *Router) Transfer(label string, src, dst int, bytes float64, deps ...*sim.Task) *sim.Task {
+func (r *Router) Transfer(label sim.Label, src, dst int, bytes float64, deps ...*sim.Task) *sim.Task {
 	c := r.F.C
 	if !r.Enabled || src == dst || c.SameNode(src, dst) || bytes <= 0 {
 		return r.F.Send(label, src, dst, bytes, deps...)
@@ -61,21 +59,21 @@ func (r *Router) Transfer(label string, src, dst int, bytes float64, deps ...*si
 		// chunk needs no dispatch.
 		var dispatched *sim.Task
 		if sp == src {
-			dispatched = r.F.E.Barrier(label+"/disp-self", src).After(deps...)
+			dispatched = r.F.E.Barrier(label.With(sim.SegDispSelf), src).After(deps...)
 		} else {
-			dispatched = r.F.Send(fmt.Sprintf("%s/disp%d", label, i), src, sp, chunk, deps...)
+			dispatched = r.F.Send(label.With(sim.SegDisp, i), src, sp, chunk, deps...)
 		}
 
 		// Step 2: inter-node transfer over the proxy pair's NICs, derated
 		// for SM-contention stalls (Fig. 12b).
-		xfer := r.F.SendVia(fmt.Sprintf("%s/xfer%d", label, i), sp, rp,
+		xfer := r.F.SendVia(label.With(sim.SegXfer, i), sp, rp,
 			c.NICOf(sp), c.NICOf(rp), chunk/RoutedInterEff, dispatched)
 
 		// Step 3: intra-node combine receive proxy -> dst.
 		if rp == dst {
 			arrivals = append(arrivals, xfer)
 		} else {
-			arrivals = append(arrivals, r.F.Send(fmt.Sprintf("%s/comb%d", label, i), rp, dst, chunk, xfer))
+			arrivals = append(arrivals, r.F.Send(label.With(sim.SegComb, i), rp, dst, chunk, xfer))
 		}
 	}
 	return r.F.E.Barrier(label, dst).After(arrivals...)

@@ -17,7 +17,7 @@ func TestDisabledFallsBackToDirect(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterA, 2)
 	r := New(f, false)
 	bytes := f.C.NICBandwidth // 1 second direct
-	r.Transfer("kv", 0, 8, bytes)
+	r.Transfer(sim.Named("kv"), 0, 8, bytes)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestRoutedUsesAllNICs(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterA, 2)
 	r := New(f, true)
 	bytes := f.C.NICBandwidth // direct would take 1 second
-	r.Transfer("kv", 0, 8, bytes)
+	r.Transfer(sim.Named("kv"), 0, 8, bytes)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestRoutedMatchesEq1Shape(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterA, 2)
 	r := New(f, true)
 	n := 8 * f.C.NICBandwidth // large transfer, latency negligible
-	r.Transfer("kv", 0, 8, n)
+	r.Transfer(sim.Named("kv"), 0, 8, n)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRoutedMatchesEq1Shape(t *testing.T) {
 func TestIntraNodeNeverRouted(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterA, 1)
 	r := New(f, true)
-	r.Transfer("kv", 0, 1, 1e9)
+	r.Transfer(sim.Named("kv"), 0, 1, 1e9)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestIntraNodeNeverRouted(t *testing.T) {
 func TestSelfAndZeroTransfersFree(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterA, 2)
 	r := New(f, true)
-	r.Transfer("a", 3, 3, 1e9)
-	r.Transfer("b", 0, 8, 0)
+	r.Transfer(sim.Named("a"), 3, 3, 1e9)
+	r.Transfer(sim.Named("b"), 0, 8, 0)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestClusterCRoutingScalesWithNICs(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterC, 2)
 	r := New(f, true)
 	n := 4 * f.C.NICBandwidth // 4 s direct
-	r.Transfer("kv", 0, 8, n)
+	r.Transfer(sim.Named("kv"), 0, 8, n)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -173,15 +173,15 @@ func TestDisjointRoutedFlowsOverlap(t *testing.T) {
 	e, f := fabric(t, cluster.ClusterA, 4)
 	r := New(f, true)
 	n := f.C.NICBandwidth
-	r.Transfer("f1", 0, 8, n)   // node 0 -> 1
-	r.Transfer("f2", 16, 24, n) // node 2 -> 3
+	r.Transfer(sim.Named("f1"), 0, 8, n)   // node 0 -> 1
+	r.Transfer(sim.Named("f2"), 16, 24, n) // node 2 -> 3
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Single-flow baseline on a fresh engine.
 	e1, f1 := fabric(t, cluster.ClusterA, 4)
-	New(f1, true).Transfer("f1", 0, 8, n)
+	New(f1, true).Transfer(sim.Named("f1"), 0, 8, n)
 	mk1, err := e1.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func randomGraph(spec []byte) *Engine {
 	e := NewEngine()
 	nres := 1 + s.n(4)
 	for i := 0; i < nres; i++ {
-		r := e.NewResource("r", []float64{0, 100, 1000}[s.n(3)])
+		r := e.NewResource(ResourceName{}, []float64{0, 100, 1000}[s.n(3)])
 		r.Latency = []Time{0, 0.25, 0.5}[s.n(3)]
 		r.Speed = []float64{0, 1, 0.5, 0.25}[s.n(4)]
 	}
@@ -136,12 +136,12 @@ func randomGraph(spec []byte) *Engine {
 	for i := range tasks {
 		switch s.n(4) {
 		case 0:
-			tasks[i] = e.Barrier("bar", i%3)
+			tasks[i] = e.Barrier(Named("bar"), i%3)
 			tasks[i].Duration = []Time{0, 0, 0.25}[s.n(3)]
 		case 1:
-			tasks[i] = e.Transfer("xfer", KindInterComm, i%3, e.resources[s.n(nres)], []float64{0, 25, 50, 100}[s.n(4)])
+			tasks[i] = e.Transfer(Named("xfer"), KindInterComm, i%3, e.resources[s.n(nres)], []float64{0, 25, 50, 100}[s.n(4)])
 		default:
-			tasks[i] = e.Compute("comp", i%3, e.resources[s.n(nres)], []Time{0, 0.25, 0.5, 1}[s.n(4)])
+			tasks[i] = e.Compute(Named("comp"), i%3, e.resources[s.n(nres)], []Time{0, 0.25, 0.5, 1}[s.n(4)])
 		}
 	}
 	order := rand.New(rand.NewSource(int64(s.n(256)))).Perm(n)

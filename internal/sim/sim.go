@@ -75,7 +75,7 @@ const (
 // for tasks that specify Size; it may be zero for pure-duration resources
 // such as compute streams.
 type Resource struct {
-	Name string
+	Name ResourceName
 	Rate float64 // bytes per second; 0 means duration-only resource
 	// Latency is a fixed per-task overhead added to every task executed on
 	// this resource (e.g. NCCL kernel launch, RDMA message setup).
@@ -106,7 +106,7 @@ func (r *Resource) Utilization(makespan Time) float64 {
 
 // Task is a schedulable unit of work.
 type Task struct {
-	Label string
+	Label Label
 	Kind  Kind
 	// Rank identifies the device this task belongs to, for tracing.
 	Rank int
@@ -158,7 +158,7 @@ func NewEngine() *Engine {
 }
 
 // NewResource registers a serial FIFO resource.
-func (e *Engine) NewResource(name string, rate float64) *Resource {
+func (e *Engine) NewResource(name ResourceName, rate float64) *Resource {
 	r := &Resource{Name: name, Rate: rate, id: len(e.resources)}
 	e.resources = append(e.resources, r)
 	return r
@@ -173,28 +173,28 @@ func (e *Engine) Tasks() []*Task { return e.tasks }
 // NewTask registers a task. A nil resource makes the task a zero-cost
 // barrier unless Duration is set, in which case it models unresourced
 // latency (e.g. host-side bookkeeping).
-func (e *Engine) NewTask(label string, kind Kind, rank int, res *Resource) *Task {
+func (e *Engine) NewTask(label Label, kind Kind, rank int, res *Resource) *Task {
 	t := &Task{Label: label, Kind: kind, Rank: rank, res: res, id: len(e.tasks)}
 	e.tasks = append(e.tasks, t)
 	return t
 }
 
 // Compute is a convenience wrapper for a fixed-duration task on a resource.
-func (e *Engine) Compute(label string, rank int, res *Resource, d Time) *Task {
+func (e *Engine) Compute(label Label, rank int, res *Resource, d Time) *Task {
 	t := e.NewTask(label, KindCompute, rank, res)
 	t.Duration = d
 	return t
 }
 
 // Transfer is a convenience wrapper for a sized task on a rated resource.
-func (e *Engine) Transfer(label string, kind Kind, rank int, res *Resource, bytes float64) *Task {
+func (e *Engine) Transfer(label Label, kind Kind, rank int, res *Resource, bytes float64) *Task {
 	t := e.NewTask(label, kind, rank, res)
 	t.Size = bytes
 	return t
 }
 
 // Barrier is a zero-cost join point.
-func (e *Engine) Barrier(label string, rank int) *Task {
+func (e *Engine) Barrier(label Label, rank int) *Task {
 	return e.NewTask(label, KindBarrier, rank, nil)
 }
 
@@ -348,7 +348,7 @@ func (e *Engine) Run() (Time, error) {
 		var stuck []string
 		for _, t := range e.tasks {
 			if t.state != stateDone {
-				stuck = append(stuck, t.Label)
+				stuck = append(stuck, t.Label.String())
 				if len(stuck) >= 5 {
 					break
 				}

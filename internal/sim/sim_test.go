@@ -9,8 +9,8 @@ import (
 
 func TestSingleTask(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu0", 0)
-	e.Compute("k", 0, r, 1.5)
+	r := e.NewResource(ResourceName{}, 0)
+	e.Compute(Named("k"), 0, r, 1.5)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -22,8 +22,8 @@ func TestSingleTask(t *testing.T) {
 
 func TestTransferUsesRate(t *testing.T) {
 	e := NewEngine()
-	nic := e.NewResource("nic", 100) // 100 B/s
-	tr := e.Transfer("x", KindInterComm, 0, nic, 250)
+	nic := e.NewResource(ResourceName{}, 100) // 100 B/s
+	tr := e.Transfer(Named("x"), KindInterComm, 0, nic, 250)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,9 @@ func TestTransferUsesRate(t *testing.T) {
 
 func TestResourceLatencyAdded(t *testing.T) {
 	e := NewEngine()
-	nic := e.NewResource("nic", 100)
+	nic := e.NewResource(ResourceName{}, 100)
 	nic.Latency = 0.25
-	tr := e.Transfer("x", KindInterComm, 0, nic, 100)
+	tr := e.Transfer(Named("x"), KindInterComm, 0, nic, 100)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +49,9 @@ func TestResourceLatencyAdded(t *testing.T) {
 
 func TestSerialResourceQueues(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	a := e.Compute("a", 0, r, 1)
-	b := e.Compute("b", 0, r, 2)
+	r := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r, 1)
+	b := e.Compute(Named("b"), 0, r, 2)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -66,10 +66,10 @@ func TestSerialResourceQueues(t *testing.T) {
 
 func TestIndependentResourcesOverlap(t *testing.T) {
 	e := NewEngine()
-	r1 := e.NewResource("gpu0", 0)
-	r2 := e.NewResource("gpu1", 0)
-	e.Compute("a", 0, r1, 2)
-	e.Compute("b", 1, r2, 2)
+	r1 := e.NewResource(ResourceName{}, 0)
+	r2 := e.NewResource(ResourceName{}, 0)
+	e.Compute(Named("a"), 0, r1, 2)
+	e.Compute(Named("b"), 1, r2, 2)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +81,10 @@ func TestIndependentResourcesOverlap(t *testing.T) {
 
 func TestDependencyOrdering(t *testing.T) {
 	e := NewEngine()
-	r1 := e.NewResource("gpu0", 0)
-	r2 := e.NewResource("gpu1", 0)
-	a := e.Compute("a", 0, r1, 1)
-	b := e.Compute("b", 1, r2, 1)
+	r1 := e.NewResource(ResourceName{}, 0)
+	r2 := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r1, 1)
+	b := e.Compute(Named("b"), 1, r2, 1)
 	b.After(a)
 	mk, err := e.Run()
 	if err != nil {
@@ -100,12 +100,12 @@ func TestDependencyOrdering(t *testing.T) {
 
 func TestBarrierJoins(t *testing.T) {
 	e := NewEngine()
-	r1 := e.NewResource("gpu0", 0)
-	r2 := e.NewResource("gpu1", 0)
-	a := e.Compute("a", 0, r1, 1)
-	b := e.Compute("b", 1, r2, 3)
-	bar := e.Barrier("join", 0).After(a, b)
-	c := e.Compute("c", 0, r1, 1)
+	r1 := e.NewResource(ResourceName{}, 0)
+	r2 := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r1, 1)
+	b := e.Compute(Named("b"), 1, r2, 3)
+	bar := e.Barrier(Named("join"), 0).After(a, b)
+	c := e.Compute(Named("c"), 0, r1, 1)
 	c.After(bar)
 	mk, err := e.Run()
 	if err != nil {
@@ -118,8 +118,8 @@ func TestBarrierJoins(t *testing.T) {
 
 func TestAfterIgnoresNil(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	a := e.Compute("a", 0, r, 1)
+	r := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r, 1)
 	a.After(nil, nil)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -128,20 +128,21 @@ func TestAfterIgnoresNil(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	a := e.Compute("a", 0, r, 1)
-	b := e.Compute("b", 0, r, 1)
+	r := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r, 1)
+	b := e.Compute(Named("b"), 0, r, 1)
 	a.After(b)
 	b.After(a)
-	if _, err := e.Run(); err == nil {
-		t.Fatal("expected deadlock error for cyclic graph")
+	_, err := e.Run()
+	if want := "sim: deadlock, 0/2 tasks completed (stuck: [a b])"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
 	}
 }
 
 func TestRunTwiceFails(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	e.Compute("a", 0, r, 1)
+	r := e.NewResource(ResourceName{}, 0)
+	e.Compute(Named("a"), 0, r, 1)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +153,10 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestKindTotals(t *testing.T) {
 	e := NewEngine()
-	gpu := e.NewResource("gpu", 0)
-	nic := e.NewResource("nic", 10)
-	e.Compute("a", 0, gpu, 2)
-	e.Transfer("t", KindInterComm, 0, nic, 30)
+	gpu := e.NewResource(ResourceName{}, 0)
+	nic := e.NewResource(ResourceName{}, 10)
+	e.Compute(Named("a"), 0, gpu, 2)
+	e.Transfer(Named("t"), KindInterComm, 0, nic, 30)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +171,10 @@ func TestKindTotals(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	e := NewEngine()
-	gpu := e.NewResource("gpu", 0)
-	other := e.NewResource("gpu2", 0)
-	e.Compute("a", 0, gpu, 1)
-	e.Compute("b", 1, other, 4)
+	gpu := e.NewResource(ResourceName{}, 0)
+	other := e.NewResource(ResourceName{}, 0)
+	e.Compute(Named("a"), 0, gpu, 1)
+	e.Compute(Named("b"), 1, other, 4)
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +187,11 @@ func TestUtilization(t *testing.T) {
 func TestFIFOOrderPreserved(t *testing.T) {
 	// Tasks queued on a busy resource must run in ready-order.
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	first := e.Compute("first", 0, r, 5)
+	r := e.NewResource(ResourceName{}, 0)
+	first := e.Compute(Named("first"), 0, r, 5)
 	var rest []*Task
 	for i := 0; i < 10; i++ {
-		tk := e.Compute("t", 0, r, 1)
+		tk := e.Compute(Named("t"), 0, r, 1)
 		tk.After(first)
 		rest = append(rest, tk)
 	}
@@ -206,10 +207,10 @@ func TestFIFOOrderPreserved(t *testing.T) {
 
 func TestCriticalPathLowerBoundsMakespan(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	a := e.Compute("a", 0, r, 1)
-	b := e.Compute("b", 0, r, 2)
-	c := e.Compute("c", 0, r, 3)
+	r := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r, 1)
+	b := e.Compute(Named("b"), 0, r, 2)
+	c := e.Compute(Named("c"), 0, r, 3)
 	c.After(a, b)
 	mk, err := e.Run()
 	if err != nil {
@@ -226,11 +227,11 @@ func TestCriticalPathLowerBoundsMakespan(t *testing.T) {
 
 func TestRankSpans(t *testing.T) {
 	e := NewEngine()
-	r0 := e.NewResource("gpu0", 0)
-	r1 := e.NewResource("gpu1", 0)
-	e.Compute("a", 0, r0, 1)
-	late := e.Compute("b", 0, r0, 2)
-	late.After(e.Compute("c", 1, r1, 3))
+	r0 := e.NewResource(ResourceName{}, 0)
+	r1 := e.NewResource(ResourceName{}, 0)
+	e.Compute(Named("a"), 0, r0, 1)
+	late := e.Compute(Named("b"), 0, r0, 2)
+	late.After(e.Compute(Named("c"), 1, r1, 3))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +246,11 @@ func TestRankSpans(t *testing.T) {
 
 func TestOnTaskDoneHookOrdering(t *testing.T) {
 	e := NewEngine()
-	r := e.NewResource("gpu", 0)
-	e.Compute("a", 0, r, 2)
-	e.Compute("b", 0, r, 1)
+	r := e.NewResource(ResourceName{}, 0)
+	e.Compute(Named("a"), 0, r, 2)
+	e.Compute(Named("b"), 0, r, 1)
 	var order []string
-	e.OnTaskDone = func(tk *Task) { order = append(order, tk.Label) }
+	e.OnTaskDone = func(tk *Task) { order = append(order, tk.Label.String()) }
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +279,12 @@ func TestKindString(t *testing.T) {
 func TestPropertySerialWorkConservation(t *testing.T) {
 	f := func(durs []uint16) bool {
 		e := NewEngine()
-		r := e.NewResource("gpu", 0)
+		r := e.NewResource(ResourceName{}, 0)
 		var sum Time
 		for _, d := range durs {
 			dt := Time(d%1000) / 100.0
 			sum += dt
-			e.Compute("t", 0, r, dt)
+			e.Compute(Named("t"), 0, r, dt)
 		}
 		mk, err := e.Run()
 		if err != nil || e.Audit() != nil {
@@ -305,14 +306,14 @@ func TestPropertyRandomDAGRespectsDeps(t *testing.T) {
 		nres := 1 + rng.Intn(4)
 		var res []*Resource
 		for i := 0; i < nres; i++ {
-			res = append(res, e.NewResource("r", 0))
+			res = append(res, e.NewResource(ResourceName{}, 0))
 		}
 		n := 5 + rng.Intn(40)
 		tasks := make([]*Task, n)
 		type dep struct{ from, to int }
 		var deps []dep
 		for i := 0; i < n; i++ {
-			tasks[i] = e.Compute("t", i%nres, res[i%nres], Time(rng.Intn(100))/10)
+			tasks[i] = e.Compute(Named("t"), i%nres, res[i%nres], Time(rng.Intn(100))/10)
 			for j := 0; j < i; j++ {
 				if rng.Float64() < 0.1 {
 					tasks[i].After(tasks[j])
@@ -344,15 +345,15 @@ func TestPropertyDeterminism(t *testing.T) {
 	build := func(seed int64) []Time {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		r1 := e.NewResource("a", 50)
-		r2 := e.NewResource("b", 0)
+		r1 := e.NewResource(ResourceName{}, 50)
+		r2 := e.NewResource(ResourceName{}, 0)
 		var tasks []*Task
 		for i := 0; i < 25; i++ {
 			var tk *Task
 			if i%2 == 0 {
-				tk = e.Transfer("x", KindIntraComm, i, r1, float64(rng.Intn(500)))
+				tk = e.Transfer(Named("x"), KindIntraComm, i, r1, float64(rng.Intn(500)))
 			} else {
-				tk = e.Compute("y", i, r2, Time(rng.Intn(50))/7)
+				tk = e.Compute(Named("y"), i, r2, Time(rng.Intn(50))/7)
 			}
 			if i > 2 && rng.Float64() < 0.3 {
 				tk.After(tasks[rng.Intn(i-1)])
@@ -383,14 +384,14 @@ func TestPropertyDeterminism(t *testing.T) {
 // rated transfer time — but never the fixed latency.
 func TestResourceSpeedScalesWork(t *testing.T) {
 	e := NewEngine()
-	comp := e.NewResource("slow-gpu", 0)
+	comp := e.NewResource(ResourceName{}, 0)
 	comp.Latency = 1
 	comp.Speed = 0.5
-	k := e.Compute("kernel", 0, comp, 10)
+	k := e.Compute(Named("kernel"), 0, comp, 10)
 
-	link := e.NewResource("derated-link", 100)
+	link := e.NewResource(ResourceName{}, 100)
 	link.Speed = 0.25
-	x := e.Transfer("xfer", KindInterComm, 0, link, 400)
+	x := e.Transfer(Named("xfer"), KindInterComm, 0, link, 400)
 
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -404,9 +405,9 @@ func TestResourceSpeedScalesWork(t *testing.T) {
 
 	// Speed 0 and 1 are nominal.
 	e2 := NewEngine()
-	r2 := e2.NewResource("nominal", 0)
+	r2 := e2.NewResource(ResourceName{}, 0)
 	r2.Speed = 1
-	k2 := e2.Compute("kernel", 0, r2, 10)
+	k2 := e2.Compute(Named("kernel"), 0, r2, 10)
 	if _, err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,15 +421,15 @@ func TestResourceSpeedScalesWork(t *testing.T) {
 // but starts after p, so b, which started at 0, completes first.
 func TestTieBreakIsPushOrderNotCreationOrder(t *testing.T) {
 	e := NewEngine()
-	r1 := e.NewResource("r1", 0)
-	r2 := e.NewResource("r2", 0)
-	r3 := e.NewResource("r3", 0)
-	a := e.Compute("a", 0, r1, 1)
-	e.Compute("b", 0, r2, 1.5)
-	p := e.Compute("p", 0, r3, 0.5)
+	r1 := e.NewResource(ResourceName{}, 0)
+	r2 := e.NewResource(ResourceName{}, 0)
+	r3 := e.NewResource(ResourceName{}, 0)
+	a := e.Compute(Named("a"), 0, r1, 1)
+	e.Compute(Named("b"), 0, r2, 1.5)
+	p := e.Compute(Named("p"), 0, r3, 0.5)
 	a.After(p)
 	var order []string
-	e.OnTaskDone = func(tk *Task) { order = append(order, tk.Label) }
+	e.OnTaskDone = func(tk *Task) { order = append(order, tk.Label.String()) }
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -462,14 +463,14 @@ func TestAuditNamesViolatedConstraint(t *testing.T) {
 		// x runs [0,5] on r; y becomes ready at 1 and z at 2, both queued
 		// behind x; d waits on a 1 s task elsewhere.
 		e := NewEngine()
-		r := e.NewResource("r", 0)
-		o := e.NewResource("o", 0)
+		r := e.NewResource(ResourceName{}, 0)
+		o := e.NewResource(ResourceName{}, 0)
 		ts := map[string]*Task{}
-		ts["x"] = e.Compute("x", 0, r, 5)
-		gy := e.Compute("gy", 0, o, 1)
-		ts["y"] = e.Compute("y", 0, r, 1).After(gy)
-		ts["z"] = e.Compute("z", 0, r, 1).After(e.Compute("gz", 0, o, 1))
-		ts["d"] = e.Barrier("d", 0).After(gy)
+		ts["x"] = e.Compute(Named("x"), 0, r, 5)
+		gy := e.Compute(Named("gy"), 0, o, 1)
+		ts["y"] = e.Compute(Named("y"), 0, r, 1).After(gy)
+		ts["z"] = e.Compute(Named("z"), 0, r, 1).After(e.Compute(Named("gz"), 0, o, 1))
+		ts["d"] = e.Barrier(Named("d"), 0).After(gy)
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +484,7 @@ func TestAuditNamesViolatedConstraint(t *testing.T) {
 		}
 	}
 	e := NewEngine()
-	e.Compute("never", 0, e.NewResource("r", 0), 1)
+	e.Compute(Named("never"), 0, e.NewResource(ResourceName{}, 0), 1)
 	if err := e.Audit(); err == nil || !strings.Contains(err.Error(), "completed") || !strings.Contains(err.Error(), "never") {
 		t.Errorf("un-run engine: audit error %v", err)
 	}
@@ -499,25 +500,25 @@ func ringGraph(ranks int) *Engine {
 	tx := make([]*Resource, ranks)
 	rx := make([]*Resource, ranks)
 	for i := range comp {
-		comp[i] = e.NewResource("compute", 0)
+		comp[i] = e.NewResource(ResourceName{}, 0)
 		comp[i].Latency = 5e-6
-		tx[i] = e.NewResource("tx", 25e9)
+		tx[i] = e.NewResource(ResourceName{}, 25e9)
 		tx[i].Latency = 1e-5
-		rx[i] = e.NewResource("rx", 25e9)
+		rx[i] = e.NewResource(ResourceName{}, 25e9)
 		rx[i].Latency = 1e-5
 	}
-	start := e.Barrier("start", 0)
+	start := e.Barrier(Named("start"), 0)
 	have, next := make([]*Task, ranks), make([]*Task, ranks)
 	last := make([]*Task, ranks)
 	for t := 0; t < ranks; t++ {
 		for i := 0; i < ranks; i++ {
 			if t < ranks-1 {
 				dst := (i + 1) % ranks
-				send := e.Transfer("kv/tx", KindInterComm, i, tx[i], 64<<20).After(start, have[i])
-				recv := e.Transfer("kv/rx", KindInterComm, dst, rx[dst], 64<<20).After(start, have[i])
-				next[dst] = e.Barrier("kv", dst).After(send, recv)
+				send := e.Transfer(Named("kv/tx"), KindInterComm, i, tx[i], 64<<20).After(start, have[i])
+				recv := e.Transfer(Named("kv/rx"), KindInterComm, dst, rx[dst], 64<<20).After(start, have[i])
+				next[dst] = e.Barrier(Named("kv"), dst).After(send, recv)
 			}
-			c := e.Compute("comp", i, comp[i], 1e-3*float64(1+(i+t)%3)).After(start, have[i], last[i])
+			c := e.Compute(Named("comp"), i, comp[i], 1e-3*float64(1+(i+t)%3)).After(start, have[i], last[i])
 			last[i] = c
 		}
 		have, next = next, have

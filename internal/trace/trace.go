@@ -29,7 +29,7 @@ func Collect(e *sim.Engine) []Event {
 		if t.Kind == sim.KindBarrier || t.End <= t.Start {
 			continue
 		}
-		out = append(out, Event{Rank: t.Rank, Kind: t.Kind, Label: t.Label, Start: t.Start, End: t.End})
+		out = append(out, Event{Rank: t.Rank, Kind: t.Kind, Label: t.Label.String(), Start: t.Start, End: t.End})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rank != out[j].Rank {

@@ -10,12 +10,12 @@ import (
 func runEngine(t *testing.T) *sim.Engine {
 	t.Helper()
 	e := sim.NewEngine()
-	gpu0 := e.NewResource("gpu0", 0)
-	gpu1 := e.NewResource("gpu1", 0)
-	nic := e.NewResource("nic", 100)
-	a := e.Compute("attn/comp@0", 0, gpu0, 1)
-	b := e.Transfer("attn/kv0->1", sim.KindInterComm, 1, nic, 200)
-	c := e.Compute("attn/comp@1", 1, gpu1, 1)
+	gpu0 := e.NewResource(sim.ResourceName{Class: sim.ResCompute, Index: 0}, 0)
+	gpu1 := e.NewResource(sim.ResourceName{Class: sim.ResCompute, Index: 1}, 0)
+	nic := e.NewResource(sim.ResourceName{Class: sim.ResNICTx}, 100)
+	a := e.Compute(sim.Named("attn/comp@0"), 0, gpu0, 1)
+	b := e.Transfer(sim.Named("attn/kv0->1"), sim.KindInterComm, 1, nic, 200)
+	c := e.Compute(sim.Named("attn/comp@1"), 1, gpu1, 1)
 	c.After(a, b)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/collective"
@@ -263,15 +262,15 @@ func Run(cfg Config, m Method, batch []seq.Sequence) (*Result, error) {
 // one-shot plan endpoint) use it to avoid solving the partition twice;
 // env must come from cfg.NewEnv() and carry no previously emitted tasks.
 func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Sequence) (*Result, error) {
-	start := env.E.Barrier("start", 0)
+	start := env.E.Barrier(sim.StageStart.Label(), 0)
 
 	attnF := pl.EmitAttention(env, false, start)
 	toLin := pl.EmitRemapToLinear(env, attnF)
-	linF := emitLinear(env, pl, "linear-fwd", 1.0, toLin)
+	linF := emitLinear(env, pl, sim.StageLinearFwd, 1.0, toLin)
 	toAttn := pl.EmitRemapToAttention(env, linF)
 
 	toLinB := pl.EmitRemapToLinear(env, toAttn)
-	linB := emitLinear(env, pl, "linear-bwd", costmodel.BwdComputeFactor, toLinB)
+	linB := emitLinear(env, pl, sim.StageLinearBwd, costmodel.BwdComputeFactor, toLinB)
 	toAttnB := pl.EmitRemapToAttention(env, linB)
 	attnB := pl.EmitAttention(env, true, toAttnB)
 
@@ -306,13 +305,14 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 // For MoE models, expert-parallel dispatch and combine all-to-alls wrap
 // the expert computation; this traffic is identical across scheduling
 // methods and compresses MoE speedups, as §5.1 observes.
-func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.Task) *sim.Task {
+func emitLinear(env *Env, pl Placement, stage sim.Stage, mul float64, deps ...*sim.Task) *sim.Task {
 	eff := pl.LinearEffectiveTokens(env)
 	mb := pl.MicroBatches()
 	if mb < 1 {
 		mb = 1
 	}
-	start := env.E.Barrier(label+"/start", 0)
+	label := stage.Label()
+	start := env.E.Barrier(label.With(sim.SegStart), 0)
 	start.After(deps...)
 	gate := start
 	// MoE expert-parallel all-to-all volume: each rank exchanges TopK
@@ -324,9 +324,9 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 		for rank, e := range eff {
 			moeVol[rank] = e * float64(env.CM.MC.TopK) * env.CM.ActBytes(1) * mul
 		}
-		gate = collective.AllToAll(env.F, label+"/dispatch", moeVol, start)
+		gate = collective.AllToAll(env.F, label.With(sim.SegDispatch), moeVol, start)
 	}
-	done := env.E.Barrier(label+"/compute-done", 0)
+	done := env.E.Barrier(label.With(sim.SegComputeDone), 0)
 	done.After(gate)
 	for rank := 0; rank < env.C.World(); rank++ {
 		if eff[rank] <= 0 {
@@ -335,7 +335,7 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 		per := env.CM.LinearTime(eff[rank]/float64(mb)) * mul
 		var prev *sim.Task
 		for i := 0; i < mb; i++ {
-			t := env.F.ComputeTask(fmt.Sprintf("%s/mb%d@%d", label, i, rank), rank, per)
+			t := env.F.ComputeTask(label.With(sim.SegMicroBatch, i, rank), rank, per)
 			t.After(gate)
 			t.After(prev)
 			prev = t
@@ -343,12 +343,13 @@ func emitLinear(env *Env, pl Placement, label string, mul float64, deps ...*sim.
 		done.After(prev)
 	}
 	if moeVol != nil {
-		return collective.AllToAll(env.F, label+"/combine", moeVol, done)
+		return collective.AllToAll(env.F, label.With(sim.SegCombine), moeVol, done)
 	}
 	return done
 }
 
-// perRankPhases aggregates per-rank busy time by phase label prefix.
+// perRankPhases aggregates per-rank busy time by the stage of each task's
+// label.
 func perRankPhases(env *Env) map[string][]float64 {
 	out := make(map[string][]float64)
 	world := env.C.World()
@@ -366,18 +367,11 @@ func perRankPhases(env *Env) map[string][]float64 {
 		if t.Kind == sim.KindBarrier {
 			continue
 		}
-		label := t.Label
 		var key string
-		switch {
-		case strings.HasPrefix(label, "attn-fwd"):
-			key = "attn-fwd"
-		case strings.HasPrefix(label, "attn-bwd"):
-			key = "attn-bwd"
-		case strings.HasPrefix(label, "linear-fwd"):
-			key = "linear-fwd"
-		case strings.HasPrefix(label, "linear-bwd"):
-			key = "linear-bwd"
-		case strings.HasPrefix(label, "remap"):
+		switch st := t.Label.Stage(); st {
+		case sim.StageAttnFwd, sim.StageAttnBwd, sim.StageLinearFwd, sim.StageLinearBwd:
+			key = st.String()
+		case sim.StageRemapNoop, sim.StageRemapToLinear, sim.StageRemapToAttn:
 			key = "remap"
 		default:
 			key = "other"
@@ -427,10 +421,10 @@ type NoRemap struct{}
 
 // EmitRemapToLinear returns a pass-through barrier.
 func (NoRemap) EmitRemapToLinear(env *Env, deps ...*sim.Task) *sim.Task {
-	return env.E.Barrier("remap-noop", 0).After(deps...)
+	return env.E.Barrier(sim.StageRemapNoop.Label(), 0).After(deps...)
 }
 
 // EmitRemapToAttention returns a pass-through barrier.
 func (NoRemap) EmitRemapToAttention(env *Env, deps ...*sim.Task) *sim.Task {
-	return env.E.Barrier("remap-noop", 0).After(deps...)
+	return env.E.Barrier(sim.StageRemapNoop.Label(), 0).After(deps...)
 }

@@ -25,14 +25,14 @@ type fakePlacement struct {
 }
 
 func (p *fakePlacement) EmitAttention(env *Env, backward bool, deps ...*sim.Task) *sim.Task {
-	name := "attn-fwd/fake"
+	name := sim.StageAttnFwd.Label()
 	mul := 1.0
 	if backward {
-		name, mul = "attn-bwd/fake", 2.0
+		name, mul = sim.StageAttnBwd.Label(), 2.0
 	}
-	done := env.E.Barrier(name+"/done", 0)
+	done := env.E.Barrier(name.With(sim.SegDone), 0)
 	for r := 0; r < env.C.World(); r++ {
-		t := env.F.ComputeTask(name+"/k", r, 0.001*mul)
+		t := env.F.ComputeTask(name.With(sim.SegCompAt, r), r, 0.001*mul)
 		t.After(deps...)
 		done.After(t)
 	}

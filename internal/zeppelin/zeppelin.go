@@ -150,16 +150,16 @@ func (p *placement) EmitAttention(env *trainer.Env, backward bool, deps ...*sim.
 
 func (p *placement) EmitRemapToLinear(env *trainer.Env, deps ...*sim.Task) *sim.Task {
 	if p.remapPlan == nil {
-		return env.E.Barrier("remap-noop", 0).After(deps...)
+		return env.E.Barrier(sim.StageRemapNoop.Label(), 0).After(deps...)
 	}
-	return remap.Emit(env.F, "remap-to-linear", p.remapPlan, env.CM.ActBytes(1), deps...)
+	return remap.Emit(env.F, sim.StageRemapToLinear.Label(), p.remapPlan, env.CM.ActBytes(1), deps...)
 }
 
 func (p *placement) EmitRemapToAttention(env *trainer.Env, deps ...*sim.Task) *sim.Task {
 	if p.reverse == nil {
-		return env.E.Barrier("remap-noop", 0).After(deps...)
+		return env.E.Barrier(sim.StageRemapNoop.Label(), 0).After(deps...)
 	}
-	return remap.Emit(env.F, "remap-to-attn", p.reverse, env.CM.ActBytes(1), deps...)
+	return remap.Emit(env.F, sim.StageRemapToAttn.Label(), p.reverse, env.CM.ActBytes(1), deps...)
 }
 
 // LinearEffectiveTokens: with remapping, every rank processes the balanced
