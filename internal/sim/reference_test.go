@@ -160,7 +160,7 @@ func randomGraph(spec []byte) *Engine {
 // and makespan, and a clean audit of both schedules.
 func runBoth(t *testing.T, spec []byte) {
 	got, want := randomGraph(spec), randomGraph(spec)
-	var gotOrder, wantOrder []int
+	var gotOrder, wantOrder []int32
 	got.OnTaskDone = func(tk *Task) { gotOrder = append(gotOrder, tk.id) }
 	want.OnTaskDone = func(tk *Task) { wantOrder = append(wantOrder, tk.id) }
 	gmk, gerr := got.Run()

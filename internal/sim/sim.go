@@ -108,6 +108,7 @@ func (r *Resource) Utilization(makespan Time) float64 {
 type Task struct {
 	Label Label
 	Kind  Kind
+	state taskState // packed beside Kind, so a Task fits the 144-byte size class
 	// Rank identifies the device this task belongs to, for tracing.
 	Rank int
 	// Duration is a fixed execution time. Used when Size is zero.
@@ -115,11 +116,10 @@ type Task struct {
 	// Size is a transfer size in bytes; execution time is Size/res.Rate.
 	Size float64
 
-	id    int
+	id    int32
+	deps  int32
 	res   *Resource
-	deps  int
 	succs []*Task
-	state taskState
 
 	// Start and End are filled in by Run.
 	Start, End Time
@@ -174,7 +174,7 @@ func (e *Engine) Tasks() []*Task { return e.tasks }
 // barrier unless Duration is set, in which case it models unresourced
 // latency (e.g. host-side bookkeeping).
 func (e *Engine) NewTask(label Label, kind Kind, rank int, res *Resource) *Task {
-	t := &Task{Label: label, Kind: kind, Rank: rank, res: res, id: len(e.tasks)}
+	t := &Task{Label: label, Kind: kind, Rank: rank, res: res, id: int32(len(e.tasks))}
 	e.tasks = append(e.tasks, t)
 	return t
 }
@@ -263,7 +263,7 @@ func (h *eventHeap) pop() event {
 }
 
 func (e *Engine) push(at Time, t *Task) {
-	e.events.push(event{at: at, seq: e.eventSeq, task: int32(t.id)})
+	e.events.push(event{at: at, seq: e.eventSeq, task: t.id})
 	e.eventSeq++
 }
 
