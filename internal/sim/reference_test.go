@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -205,4 +206,30 @@ func FuzzEngine(f *testing.F) {
 		f.Add(spec)
 	}
 	f.Fuzz(runBoth)
+}
+
+// The 4-ary heap pops any interleaving of pushes and pops in exact
+// (at, seq) order, with deep heaps and many equal times.
+func TestEventHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var h eventHeap
+	var pending []event
+	var seq int32
+	for step := 0; step < 20000; step++ {
+		if len(pending) > 0 && rng.Intn(3) == 0 {
+			if got := h.pop(); got != pending[0] {
+				t.Fatalf("step %d: popped %+v, want %+v", step, got, pending[0])
+			}
+			pending = pending[1:]
+			continue
+		}
+		ev := event{at: Time(rng.Intn(50)) / 4, seq: seq, task: seq}
+		seq++
+		h.push(ev)
+		// pending stays sorted: insert ev after every event before it.
+		i := sort.Search(len(pending), func(i int) bool { return ev.before(pending[i]) })
+		pending = append(pending, event{})
+		copy(pending[i+1:], pending[i:])
+		pending[i] = ev
+	}
 }
