@@ -43,40 +43,40 @@ func newSchedule(e *Engine) *schedule {
 	return s
 }
 
-// fail is the consumer every constraint yields its violations into. It
+// report is the consumer every constraint yields its violations into. It
 // returns false to stop the constraint early.
-type fail func(t *Task, format string, args ...any) bool
+type report func(t *Task, format string, args ...any) bool
 
 // constraint is one named schedule invariant; a new invariant is one more
 // entry in constraints.
 type constraint struct {
 	name  string
-	check func(s *schedule, fail fail)
+	check func(s *schedule, fail report)
 }
 
 var constraints = []constraint{
-	{"completed", func(s *schedule, fail fail) {
+	{"completed", func(s *schedule, fail report) {
 		for _, t := range s.e.tasks {
 			if t.state != stateDone && !fail(t, "never ran") {
 				return
 			}
 		}
 	}},
-	{"starts-after-deps", func(s *schedule, fail fail) {
+	{"starts-after-deps", func(s *schedule, fail report) {
 		for _, t := range s.e.tasks {
 			if t.Start < s.ready[t.id] && !fail(t, "starts at %v before its last dependency ends at %v", t.Start, s.ready[t.id]) {
 				return
 			}
 		}
 	}},
-	{"runs-exec-time", func(s *schedule, fail fail) {
+	{"runs-exec-time", func(s *schedule, fail report) {
 		for _, t := range s.e.tasks {
 			if d := t.execTime(); !AlmostEqual(t.End-t.Start, d) && !fail(t, "ran %v, execution time is %v", t.End-t.Start, d) {
 				return
 			}
 		}
 	}},
-	{"serial-resource", func(s *schedule, fail fail) {
+	{"serial-resource", func(s *schedule, fail report) {
 		for _, ts := range s.onRes {
 			for i := 1; i < len(ts); i++ {
 				if ts[i].Start < ts[i-1].End && !fail(ts[i], "starts at %v while task %d %q runs until %v on %v",
@@ -89,7 +89,7 @@ var constraints = []constraint{
 	// A resource serves its queue in ready order: no task starts strictly
 	// before another task on the same resource that became ready strictly
 	// earlier. Equal ready times may be served either way.
-	{"fifo-ready-order", func(s *schedule, fail fail) {
+	{"fifo-ready-order", func(s *schedule, fail report) {
 		for _, ts := range s.onRes {
 			var latest *Task // latest-ready task among those that started strictly earlier
 			for i := 0; i < len(ts); {
@@ -112,7 +112,7 @@ var constraints = []constraint{
 	}},
 	// Each task's End−Start carries a rounding error of the makespan's
 	// magnitude, so the tolerance grows with the task count.
-	{"busy-time", func(s *schedule, fail fail) {
+	{"busy-time", func(s *schedule, fail report) {
 		for id, ts := range s.onRes {
 			var sum Time
 			for _, t := range ts {
@@ -131,7 +131,7 @@ var constraints = []constraint{
 			}
 		}
 	}},
-	{"makespan-bounds-critical-path", func(s *schedule, fail fail) {
+	{"makespan-bounds-critical-path", func(s *schedule, fail report) {
 		if cp := s.e.CriticalPath(); s.e.now < cp && !AlmostEqual(s.e.now, cp) {
 			fail(nil, "makespan %v is below the critical path %v", s.e.now, cp)
 		}

@@ -17,10 +17,8 @@
 //
 // The engine is deterministic: identical task graphs produce identical
 // schedules. Completions at the same simulated time are processed in the
-// order their events were pushed, that is, in the order the tasks
-// started; tasks ready when Run begins start in creation order. Creation
-// order alone does not break ties: a task created first but started later
-// completes after a tie partner that started earlier.
+// order the tasks started (the push order of their events), not in
+// creation order; tasks ready when Run begins start in creation order.
 package sim
 
 import (

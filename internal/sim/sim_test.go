@@ -297,8 +297,9 @@ func TestPropertySerialWorkConservation(t *testing.T) {
 	}
 }
 
-// Property: random DAGs over multiple resources complete, makespan >=
-// critical path, and every dependency is respected in the schedule.
+// Property: random DAGs over multiple resources complete and their
+// schedules pass the audit (dependencies respected, makespan >= critical
+// path, FIFO resources).
 func TestPropertyRandomDAGRespectsDeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 30; iter++ {
@@ -310,31 +311,19 @@ func TestPropertyRandomDAGRespectsDeps(t *testing.T) {
 		}
 		n := 5 + rng.Intn(40)
 		tasks := make([]*Task, n)
-		type dep struct{ from, to int }
-		var deps []dep
 		for i := 0; i < n; i++ {
 			tasks[i] = e.Compute(Named("t"), i%nres, res[i%nres], Time(rng.Intn(100))/10)
 			for j := 0; j < i; j++ {
 				if rng.Float64() < 0.1 {
 					tasks[i].After(tasks[j])
-					deps = append(deps, dep{j, i})
 				}
 			}
 		}
-		mk, err := e.Run()
-		if err != nil {
+		if _, err := e.Run(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if cp := e.CriticalPath(); cp > mk+1e-9 {
-			t.Fatalf("iter %d: critical path %v > makespan %v", iter, cp, mk)
 		}
 		if err := e.Audit(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
-		}
-		for _, d := range deps {
-			if tasks[d.to].Start+1e-12 < tasks[d.from].End {
-				t.Fatalf("iter %d: dep %d->%d violated", iter, d.from, d.to)
-			}
 		}
 	}
 }

@@ -266,11 +266,11 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 
 	attnF := pl.EmitAttention(env, false, start)
 	toLin := pl.EmitRemapToLinear(env, attnF)
-	linF := emitLinear(env, pl, sim.StageLinearFwd, 1.0, toLin)
+	linF := emitLinear(env, pl, sim.StageLinearFwd.Label(), 1.0, toLin)
 	toAttn := pl.EmitRemapToAttention(env, linF)
 
 	toLinB := pl.EmitRemapToLinear(env, toAttn)
-	linB := emitLinear(env, pl, sim.StageLinearBwd, costmodel.BwdComputeFactor, toLinB)
+	linB := emitLinear(env, pl, sim.StageLinearBwd.Label(), costmodel.BwdComputeFactor, toLinB)
 	toAttnB := pl.EmitRemapToAttention(env, linB)
 	attnB := pl.EmitAttention(env, true, toAttnB)
 
@@ -305,13 +305,12 @@ func RunPlanned(cfg Config, name string, env *Env, pl Placement, batch []seq.Seq
 // For MoE models, expert-parallel dispatch and combine all-to-alls wrap
 // the expert computation; this traffic is identical across scheduling
 // methods and compresses MoE speedups, as §5.1 observes.
-func emitLinear(env *Env, pl Placement, stage sim.Stage, mul float64, deps ...*sim.Task) *sim.Task {
+func emitLinear(env *Env, pl Placement, label sim.Label, mul float64, deps ...*sim.Task) *sim.Task {
 	eff := pl.LinearEffectiveTokens(env)
 	mb := pl.MicroBatches()
 	if mb < 1 {
 		mb = 1
 	}
-	label := stage.Label()
 	start := env.E.Barrier(label.With(sim.SegStart), 0)
 	start.After(deps...)
 	gate := start
