@@ -307,7 +307,10 @@ func Start(ctx context.Context, cfg Config) (*Stream, error) {
 		layers:     float64(cfg.Trainer.Model.Layers),
 		rng:        rand.New(rand.NewSource(cfg.Trainer.Seed)),
 		busySum:    make([]float64, baseWorld),
-		report:     &Report{Records: make([]IterRecord, 0, cfg.Iters)},
+		// Records grow as iterations stream: cfg.Iters is only an upper
+		// bound (serve campaigns drain early, streams stop on cancel) and
+		// can come from a request, so it sizes nothing up front.
+		report: &Report{Records: []IterRecord{}},
 	}
 	if as := cfg.Autoscaler; as != nil {
 		// Start at the ceiling and shrink into the load: the first
