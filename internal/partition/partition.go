@@ -10,14 +10,20 @@
 // z01 sequence onto a node (P·L) in Alg. 1, a z0 sequence onto a device
 // (L) in Alg. 2. Ring fragments, the inter-node shares they impose, and
 // an intra-zone sequence that collapses to a single fragment are placed
-// unchecked, so a rank can end above L; TestCapacityRespected allows up
-// to 1.1 × L. What the retry loop does guarantee is termination with a
-// token-conserving plan whenever the batch fits in aggregate memory.
+// unchecked, so a rank can end above L. No fixed multiple of L bounds it:
+// one node planning {3L, L} puts 1.375 × L on a rank, and
+// TestCapacityRespected's 1.1 × L holds for its batch only. What the
+// retry loop does guarantee is termination with a token-conserving plan
+// whenever the batch fits in aggregate memory, and that a rank holding a
+// local-zone sequence ends at or below L (FuzzPlan checks both).
 //
 // The solve is one serial pass: Alg. 1 starts at threshold P·L and, on
 // a capacity failure, lowers it to the longest sequence still below it;
-// the per-node Alg. 2 solves then run in node order. Concurrency lives a
-// level up — independent planning sessions each own a Partitioner.
+// the per-node Alg. 2 solves then run in node order. Each Alg. 1 pass
+// costs O(S log N) for S sequences on N nodes, through a min-heap of
+// node loads; Alg. 2 scans a node's P devices per placement. Concurrency
+// lives a level up — independent planning sessions each own a
+// Partitioner.
 //
 // A Partitioner owns reusable scratch buffers: repeated Plan calls (the
 // per-iteration hot path of streaming campaigns) and the threshold-retry
@@ -112,8 +118,8 @@ type interPlacement struct {
 	nodes []int
 }
 
-// pickScratch holds the least-loaded selection buffers; every solve
-// context owns one.
+// pickScratch holds the least-loaded selection buffers of Alg. 2's
+// degraded-view ring placement.
 type pickScratch struct {
 	pick []int
 	eff  []float64
@@ -122,7 +128,7 @@ type pickScratch struct {
 // interScratch is the Alg. 1 working context: evalInter is a pure
 // function of (sorted, threshold) writing only here.
 type interScratch struct {
-	pickScratch
+	heap     nodeHeap
 	nodeLoad []int
 	nodeSeqs [][]seq.Sequence
 	inters   []interPlacement
@@ -271,6 +277,8 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 	for i := range nodeLoad {
 		nodeLoad[i] = 0
 	}
+	h := &scr.heap
+	h.reset(n)
 	if cap(scr.nodeSeqs) < n {
 		scr.nodeSeqs = make([][]seq.Sequence, n)
 	}
@@ -300,9 +308,12 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 			if k > n {
 				k = n
 			}
-			// leastLoaded returns scratch; copy because the placement
-			// outlives this call's next selection.
-			nodes := append([]int(nil), scr.leastLoaded(nodeLoad, k, nodeSpeed)...)
+			// The k least-loaded nodes, in increasing (load, index) order;
+			// the placement owns its node list.
+			nodes := make([]int, k)
+			for i := range nodes {
+				nodes[i] = h.pop()
+			}
 			share := seq.SplitEvenInto(scr.share, s.Len, k)
 			if nodeSpeed != nil {
 				// The emitted ring carries speed-proportional rank
@@ -317,13 +328,14 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 			scr.share = share
 			for i, nd := range nodes {
 				nodeLoad[nd] += share[i]
+				h.push(nd, effLoad(nodeLoad, nodeSpeed, nd))
 			}
 			inters = append(inters, interPlacement{s: s, nodes: nodes})
 		}
 	}
 	scr.inters = inters
 	for _, s := range z01 {
-		idx := argminLoad(nodeLoad, nodeSpeed)
+		idx := h.min()
 		if s.Len+nodeLoad[idx] > pp*l {
 			// z01 is sorted descending, so its first element is the
 			// longest below s1: the caller's next threshold.
@@ -331,8 +343,95 @@ func evalInter(scr *interScratch, sorted []seq.Sequence, n, pp, l, s1 int, nodeS
 		}
 		nodeSeqs[idx] = append(nodeSeqs[idx], s)
 		nodeLoad[idx] += s.Len
+		h.fixMin(effLoad(nodeLoad, nodeSpeed, idx))
 	}
 	return true
+}
+
+// nodeHeap is a binary min-heap of node indices ordered by (effective
+// load, index) — the order argminLoad and leastLoaded select by, ties
+// included — so Alg. 1 finds its least-loaded node in O(log N) instead
+// of rescanning every node per sequence.
+type nodeHeap struct {
+	nodes []int     // heap-ordered node indices
+	eff   []float64 // effective load per node index
+}
+
+// reset empties the loads of n nodes. All-equal keys make the identity
+// order a valid heap.
+func (h *nodeHeap) reset(n int) {
+	h.nodes = growI(h.nodes, n)
+	h.eff = growF(h.eff, n)
+	for i := range h.nodes {
+		h.nodes[i] = i
+		h.eff[i] = 0
+	}
+}
+
+func (h *nodeHeap) less(a, b int) bool {
+	ea, eb := h.eff[a], h.eff[b]
+	return ea < eb || (ea == eb && a < b)
+}
+
+// min returns the least-loaded node without removing it.
+func (h *nodeHeap) min() int { return h.nodes[0] }
+
+// fixMin sets the root node's effective load and restores heap order.
+func (h *nodeHeap) fixMin(eff float64) {
+	h.eff[h.nodes[0]] = eff
+	h.down(0)
+}
+
+// pop removes and returns the least-loaded node.
+func (h *nodeHeap) pop() int {
+	top := h.nodes[0]
+	last := len(h.nodes) - 1
+	h.nodes[0] = h.nodes[last]
+	h.nodes = h.nodes[:last]
+	h.down(0)
+	return top
+}
+
+// push re-inserts a popped node at effective load eff.
+func (h *nodeHeap) push(node int, eff float64) {
+	h.eff[node] = eff
+	h.nodes = append(h.nodes, node)
+	for i := len(h.nodes) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(h.nodes[i], h.nodes[parent]) {
+			break
+		}
+		h.nodes[i], h.nodes[parent] = h.nodes[parent], h.nodes[i]
+		i = parent
+	}
+}
+
+func (h *nodeHeap) down(i int) {
+	n := len(h.nodes)
+	for {
+		least := i
+		if l := 2*i + 1; l < n && h.less(h.nodes[l], h.nodes[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h.less(h.nodes[r], h.nodes[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h.nodes[i], h.nodes[least] = h.nodes[least], h.nodes[i]
+		i = least
+	}
+}
+
+// effLoad is node i's effective load with exactly argminLoad's
+// arithmetic: the raw token load (exact as a float64) on a healthy view,
+// load/speed on a degraded one.
+func effLoad(load []int, speed []float64, i int) float64 {
+	if speed == nil {
+		return float64(load[i])
+	}
+	return float64(load[i]) / speed[i]
 }
 
 // intraNode is Algorithm 2 for one node: it splits intra-node-zone
@@ -484,12 +583,6 @@ func (ps *pickScratch) leastLoaded(load []int, k int, speed []float64) []int {
 	n := len(load)
 	ps.pick = growI(ps.pick, n)
 	idx := ps.pick
-	if k == 1 {
-		// Early exit: the common single-fragment case needs only argmin,
-		// not a k-selection pass.
-		idx[0] = argminLoad(load, speed)
-		return idx[:1]
-	}
 	// Precompute effective loads once instead of dividing inside the
 	// O(k·n) comparison loop. The explicit index tie-break matters:
 	// selection swaps perturb idx order, so strict-smaller alone would
@@ -503,7 +596,7 @@ func (ps *pickScratch) leastLoaded(load []int, k int, speed []float64) []int {
 			eff[i] /= speed[i]
 		}
 	}
-	// Selection sort of the first k: loads are tiny (#nodes or #devices).
+	// Selection sort of the first k: the loads are one node's P devices.
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < n; j++ {

@@ -405,7 +405,7 @@ func TestLeastLoaded(t *testing.T) {
 	if want := []int{1, 3, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("tied leastLoaded = %v, want %v", got, want)
 	}
-	// k == 1 takes the argmin early exit.
+	// k == 1 runs one selection pass and agrees with argminLoad.
 	if one := ps.leastLoaded([]int{4, 2, 9}, 1, nil); len(one) != 1 || one[0] != 1 {
 		t.Fatalf("leastLoaded k=1 = %v, want [1]", one)
 	}
