@@ -194,7 +194,7 @@ func (p *Plan) Validate(batch []Sequence) error {
 	if len(p.Local) != p.World {
 		return fmt.Errorf("plan: local lists %d != world %d", len(p.Local), p.World)
 	}
-	placed := make(map[int]int) // seq ID -> placed tokens
+	placed := make(map[int]int, len(batch)) // seq ID -> placed tokens
 	for r, ls := range p.Local {
 		if r < 0 || r >= p.World {
 			return fmt.Errorf("plan: rank %d out of range", r)
@@ -203,6 +203,9 @@ func (p *Plan) Validate(batch []Sequence) error {
 			placed[s.ID] += s.Len
 		}
 	}
+	// seen[r] == i+1 marks rank r as already in ring i, so one slice
+	// serves every ring without clearing.
+	seen := make([]int, p.World)
 	for i, ring := range p.Rings {
 		if ring.G() < 2 {
 			return fmt.Errorf("plan: ring %d has %d ranks, need >= 2", i, ring.G())
@@ -210,15 +213,14 @@ func (p *Plan) Validate(batch []Sequence) error {
 		if ring.Zone == ZoneLocal {
 			return fmt.Errorf("plan: ring %d marked local", i)
 		}
-		seen := make(map[int]bool)
 		for _, r := range ring.Ranks {
 			if r < 0 || r >= p.World {
 				return fmt.Errorf("plan: ring %d rank %d out of range", i, r)
 			}
-			if seen[r] {
+			if seen[r] == i+1 {
 				return fmt.Errorf("plan: ring %d has duplicate rank %d", i, r)
 			}
-			seen[r] = true
+			seen[r] = i + 1
 		}
 		if ring.Weights != nil {
 			if len(ring.Weights) != ring.G() {
@@ -232,7 +234,7 @@ func (p *Plan) Validate(batch []Sequence) error {
 		}
 		placed[ring.Seq.ID] += ring.Seq.Len
 	}
-	want := make(map[int]int)
+	want := make(map[int]int, len(batch))
 	for _, s := range batch {
 		want[s.ID] += s.Len
 	}

@@ -163,3 +163,21 @@ func TestPlanValidateCatchesErrors(t *testing.T) {
 		t.Fatal("out-of-range rank should fail")
 	}
 }
+
+// One rank may serve many rings; only a repeat inside one ring is an
+// error, and it is reported with the ring's index.
+func TestPlanValidateDuplicateRankIsPerRing(t *testing.T) {
+	batch := []Sequence{{ID: 0, Len: 300}, {ID: 1, Len: 200}}
+	p := NewPlan(3)
+	p.Rings = append(p.Rings,
+		Ring{Seq: batch[0], Zone: ZoneIntra, Ranks: []int{0, 1, 2}},
+		Ring{Seq: batch[1], Zone: ZoneIntra, Ranks: []int{2, 1, 0}})
+	if err := p.Validate(batch); err != nil {
+		t.Fatalf("rank shared by two rings: %v", err)
+	}
+	p.Rings[1].Ranks = []int{1, 2, 1}
+	err := p.Validate(batch)
+	if want := "plan: ring 1 has duplicate rank 1"; err == nil || err.Error() != want {
+		t.Fatalf("duplicate within ring 1: err = %v, want %q", err, want)
+	}
+}
