@@ -395,7 +395,8 @@ func BenchmarkFig15ScalingSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Cells[len(res.Cells)-1].Full.P50Micros, "full-p50-micros-8192-ranks")
+		last := res.Cells[len(res.Cells)-1]
+		b.ReportMetric(last.Full.P50Micros, fmt.Sprintf("full-p50-micros-%d-ranks", last.Ranks))
 	}
 }
 

@@ -205,7 +205,7 @@ func usage() {
 
 experiments: %s
                 (fig15: full-solve plan latency p50/p95 and allocations
-                per plan, 64 to 8192 ranks)
+                per plan, 64 to 32768 ranks)
 campaign flags: -iters N  -arrival steady|poisson|bursty|drift|replay
                 -dataset NAME  -drift a,b,c  -policy always|never|threshold|periodic
                 -threshold X  -every N  -replan-cost SECONDS (>= 0)

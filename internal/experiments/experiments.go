@@ -17,7 +17,7 @@
 //	Fig12   — attention timeline traces
 //	Fig13   — streaming campaign: 200-iteration drifting stream
 //	Fig14   — fault-schedule campaigns: failures, stragglers, scaling
-//	Fig15   — full-solve planner scaling sweep to 8192 ranks
+//	Fig15   — full-solve planner scaling sweep to 32768 ranks
 //	Fig16   — serving scenario: SLO classes, balance vs affinity routing
 //	Table3  — per-component cost ranges, balanced vs skewed
 package experiments

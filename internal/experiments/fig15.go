@@ -18,7 +18,7 @@ import (
 // Fig15 is the full-solve scaling sweep, an experiment the paper has no
 // analogue for: it measures *planning latency* — the host-side cost of
 // re-running the hierarchical partition every iteration — rather than
-// simulated iteration time. Worlds of 64 → 8192 data-parallel ranks plan
+// simulated iteration time. Worlds of 64 → 32768 data-parallel ranks plan
 // a churning high-multiplicity stream (FineWeb-shaped arrivals, ~5% of
 // sequences replaced per iteration) through the full hierarchical solve.
 // Each cell reports plan-latency p50/p95 and allocations per plan.
@@ -34,9 +34,9 @@ const Fig15Iters = 24
 const Fig15ChurnFrac = 0.05
 
 // Fig15Ranks are the swept world sizes (data-parallel ranks; nodes of 8).
-// The tail doubles to 8192 ranks: the serial full solve there takes tens
-// of milliseconds per plan, so the sweep stays routine.
-var Fig15Ranks = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
+// The tail doubles to 32768 ranks: Alg. 1's node heap keeps the serial
+// full solve there near 50 ms per plan, so the sweep stays routine.
+var Fig15Ranks = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 
 // Fig15Series is the full solve's measurement within a cell.
 type Fig15Series struct {

@@ -8,12 +8,12 @@ import (
 	"zeppelin/internal/seq"
 )
 
-// TestFig15SweepCompletesTo8192Ranks runs the full scaling sweep — the
-// acceptance bar is that the 8192-rank world plans end to end and every
+// TestFig15SweepCompletesTo32768Ranks runs the full scaling sweep — the
+// acceptance bar is that the 32768-rank world plans end to end and every
 // cell carries its latency and allocation measurements.
-func TestFig15SweepCompletesTo8192Ranks(t *testing.T) {
+func TestFig15SweepCompletesTo32768Ranks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full sweep to 8192 ranks takes a few seconds")
+		t.Skip("full sweep to 32768 ranks takes a few seconds")
 	}
 	res, err := Fig15(Options{Seeds: 1, Workers: 2})
 	if err != nil {
@@ -31,8 +31,8 @@ func TestFig15SweepCompletesTo8192Ranks(t *testing.T) {
 		}
 	}
 	last := res.Cells[len(res.Cells)-1]
-	if last.Ranks != 8192 {
-		t.Fatalf("sweep must end at 8192 ranks, got %d", last.Ranks)
+	if last.Ranks != 32768 {
+		t.Fatalf("sweep must end at 32768 ranks, got %d", last.Ranks)
 	}
 }
 

@@ -47,7 +47,7 @@
 //     grid, with JSON and text artifact writers.
 //   - RunPlannerBench — the fig15 full-solve planner measurement in the
 //     shared benchfmt artifact schema, sweeping world sizes up to the
-//     8192-rank tail of the Fig. 15 grid.
+//     32768-rank tail of the Fig. 15 grid.
 //   - Version / APIVersion — build and API-revision identification.
 //
 // Every entry point takes a context.Context and honors cancellation:
