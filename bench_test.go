@@ -161,7 +161,7 @@ func BenchmarkServeCampaign(b *testing.B) {
 
 func BenchmarkTable3CostDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cols, err := experiments.Table3()
+		cols, err := experiments.Table3(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,25 +228,30 @@ func capName(cf float64) string {
 }
 
 // ---------------------------------------------------------------------
-// Runner engine: the same (dataset × method × seed) grid executed on one
-// worker vs the full pool. The parallel variant's ns/op over the serial
-// one is the engine's wall-clock speedup; results are bit-identical.
+// Grid fan-out: the same (dataset × method × seed) grid run through
+// runner.ForEach on one worker vs the full pool. The parallel variant's
+// ns/op over the serial one is the pool's wall-clock speedup; results
+// are bit-identical.
 // ---------------------------------------------------------------------
 
-func runnerGrid() []runner.Job {
-	var jobs []runner.Job
+type gridJob struct {
+	cfg    trainer.Config
+	method trainer.Method
+	data   workload.Dataset
+}
+
+func runnerGrid() []gridJob {
+	var jobs []gridJob
 	for _, d := range workload.Eval {
-		for mi, m := range experiments.Methods() {
+		for _, m := range experiments.Methods() {
 			for s := 0; s < 2; s++ {
-				jobs = append(jobs, runner.Job{
-					Key: fmt.Sprintf("%s/m%d/s%d", d.Name, mi, s),
-					Config: trainer.Config{
+				jobs = append(jobs, gridJob{
+					cfg: trainer.Config{
 						Model: model.LLaMA7B, Spec: cluster.ClusterA, Nodes: 2,
-						TokensPerGPU: 4096, Seed: int64(1000 + 37*s),
+						TokensPerGPU: 4096, Seed: experiments.SeedValue(s),
 					},
-					Method:      m,
-					Sample:      d.Batch,
-					SamplerName: d.Name,
+					method: m,
+					data:   d,
 				})
 			}
 		}
@@ -257,16 +262,15 @@ func runnerGrid() []runner.Job {
 func runnerBench(b *testing.B, workers int) {
 	jobs := runnerGrid()
 	b.ReportMetric(float64(len(jobs)), "jobs")
+	res := make([]*trainer.Result, len(jobs))
 	for i := 0; i < b.N; i++ {
-		// A fresh engine each iteration: the memo cache would otherwise
-		// turn every iteration after the first into pure cache hits.
-		eng := runner.New(runner.Options{Workers: workers})
-		rs, err := eng.Run(context.Background(), jobs)
-		if err != nil {
+		if err := runner.ForEach(context.Background(), workers, len(jobs), func(k int) error {
+			j := jobs[k]
+			r, err := trainer.Run(j.cfg, j.method, j.cfg.Batch(j.data.Batch))
+			res[k] = r
+			return err
+		}); err != nil {
 			b.Fatal(err)
-		}
-		if rs.Executed != len(jobs) {
-			b.Fatalf("executed %d of %d jobs", rs.Executed, len(jobs))
 		}
 	}
 }

@@ -242,9 +242,8 @@ trace flags:    the plan flags except -json (default -model 3B), plus
 	flag.PrintDefaults()
 }
 
-// experimentCmd renders or JSON-emits one experiment (or `all`, which
-// shares one simulation engine across every figure so common cells
-// simulate once).
+// experimentCmd renders or JSON-emits one experiment, or every one in
+// paper order for `all`.
 func experimentCmd(w io.Writer, name string, opts zeppelin.Options, jsonOut bool) error {
 	ctx := context.Background()
 	if !jsonOut {

@@ -26,11 +26,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 
 	"zeppelin/internal/baselines"
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/model"
 	"zeppelin/internal/runner"
+	"zeppelin/internal/seq"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
 	"zeppelin/internal/zeppelin"
@@ -38,7 +40,7 @@ import (
 
 // Sampler builds a batch for a token budget; workload.Dataset.Batch,
 // workload.SkewedBatch and workload.BalancedBatch all satisfy it.
-type Sampler = runner.Sampler
+type Sampler func(totalTokens int, rng *rand.Rand) []seq.Sequence
 
 // Methods returns the paper's four compared systems in Fig. 8 order.
 func Methods() []trainer.Method {
@@ -65,10 +67,6 @@ type Options struct {
 	// Workers bounds the simulation pool; <= 0 selects GOMAXPROCS.
 	// Results are identical for every worker count.
 	Workers int
-	// Engine, when set, executes the grid instead of a fresh engine —
-	// sharing one engine across figures memoizes cells they have in
-	// common (cmd/zeppelin's `all` does this).
-	Engine *runner.Engine
 	// Ctx, when set, bounds every grid fan-out of the experiment:
 	// cancellation stops the pool between jobs and the experiment
 	// returns ctx.Err(). Nil means Background (run to completion).
@@ -89,23 +87,6 @@ func (o Options) normalized() Options {
 		o.Seeds = 3
 	}
 	return o
-}
-
-// engine returns the shared engine or builds one for this grid.
-func (o Options) engine() *runner.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	return runner.New(runner.Options{Workers: o.Workers})
-}
-
-// workers is the effective pool bound: a shared engine's resolved size
-// wins so every fan-out in a figure honors the same cap.
-func (o Options) workers() int {
-	if o.Engine != nil {
-		return o.Engine.Workers()
-	}
-	return o.Workers
 }
 
 // Cell identifies one throughput measurement configuration.
@@ -135,66 +116,91 @@ func (c Cell) Config(seed int64) trainer.Config {
 // campaigns and fig13 stream identical per-seed batches.
 func SeedValue(s int) int64 { return int64(1000 + 37*s) }
 
-// grid accumulates the (cell × method × seed) jobs of one figure and
-// remembers which job keys average into which reported mean.
+// job is one simulation of a grid: a trainer configuration, the method
+// that plans it, and the sampler that draws its batch from cfg.Seed. The
+// label names the job in a failure, e.g. "fig8/7B/64k/arxiv/TE CP/s0".
+type job struct {
+	label  string
+	cfg    trainer.Config
+	method trainer.Method
+	sample Sampler
+}
+
+// grid accumulates the (cell × method × seed) jobs of one figure in
+// submission order and remembers which job indices average into which
+// reported mean.
 type grid struct {
-	jobs   []runner.Job
-	groups map[string][]string
+	jobs   []job
+	groups map[string][]int
 }
 
 // add registers `seeds` jobs for one (cell, sampler, method) mean under
-// a group key. The sampler name feeds the runner's memo hash, so the
-// same cell appearing in two figures simulates once per engine.
-func (g *grid) add(group string, cell Cell, sample Sampler, samplerName string, m trainer.Method, seeds int) {
-	if seeds <= 0 {
-		seeds = 1
-	}
+// a group key.
+func (g *grid) add(group string, cell Cell, sample Sampler, m trainer.Method, seeds int) {
 	if g.groups == nil {
-		g.groups = make(map[string][]string)
+		g.groups = make(map[string][]int)
 	}
-	for s := 0; s < seeds; s++ {
-		key := fmt.Sprintf("%s/s%d", group, s)
-		g.jobs = append(g.jobs, runner.Job{
-			Key:         key,
-			Config:      cell.Config(SeedValue(s)),
-			Method:      m,
-			Sample:      sample,
-			SamplerName: samplerName,
+	if _, dup := g.groups[group]; dup {
+		panic(fmt.Sprintf("experiments: group %q added twice", group))
+	}
+	for s := 0; s < max(seeds, 1); s++ {
+		g.groups[group] = append(g.groups[group], len(g.jobs))
+		g.jobs = append(g.jobs, job{
+			label:  fmt.Sprintf("%s/s%d", group, s),
+			cfg:    cell.Config(SeedValue(s)),
+			method: m,
+			sample: sample,
 		})
-		g.groups[group] = append(g.groups[group], key)
 	}
 }
 
-// run executes the grid under ctx and returns per-group seed-averaged
-// throughput.
-// A group key that did not resolve to a result is an error, so drift
-// between a figure's grid-build loop and its readback loop fails loudly
-// instead of publishing zeros.
-func (g *grid) run(ctx context.Context, eng *runner.Engine) (map[string]float64, error) {
-	rs, err := eng.Run(ctx, g.jobs)
+// run simulates every job through runner.ForEach and returns the results
+// in submission order. Every job runs even when some fail; the reported
+// failure is the lowest-index one, wrapped with its label, and a
+// cancelled opts.Ctx returns ctx.Err().
+func (g *grid) run(opts Options) ([]*trainer.Result, error) {
+	res := make([]*trainer.Result, len(g.jobs))
+	err := runner.ForEach(opts.ctx(), opts.Workers, len(g.jobs), func(i int) error {
+		j := &g.jobs[i]
+		r, err := trainer.Run(j.cfg, j.method, j.cfg.Batch(j.sample))
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.label, err)
+		}
+		res[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// means runs the grid and returns each group's seed-averaged throughput,
+// summed in seed order.
+func (g *grid) means(opts Options) (map[string]float64, error) {
+	res, err := g.run(opts)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]float64, len(g.groups))
-	for group, keys := range g.groups {
-		for _, k := range keys {
-			if rs.Get(k) == nil {
-				return nil, fmt.Errorf("experiments: group %q: no result for job %q", group, k)
-			}
+	for group, idx := range g.groups {
+		var sum float64
+		for _, i := range idx {
+			sum += res[i].TokensPerSec
 		}
-		out[group] = rs.MeanTokensPerSec(keys...)
+		out[group] = sum / float64(len(idx))
 	}
 	return out, nil
 }
 
 // MeanThroughput runs a method on `seeds` independently sampled batches
-// and returns the average tokens/second. It is the single-cell
-// convenience wrapper over the runner; figures submit whole grids
-// instead so cells fan out across the pool.
+// on one worker and returns the average tokens/second. It is the
+// single-cell convenience wrapper; figures submit whole grids instead so
+// cells fan out across the pool.
 func MeanThroughput(ctx context.Context, cell Cell, sample Sampler, m trainer.Method, seeds int) (float64, error) {
 	var g grid
-	g.add("cell", cell, sample, "", m, seeds)
-	means, err := g.run(ctx, runner.New(runner.Options{Workers: 1}))
+	g.add("cell", cell, sample, m, seeds)
+	means, err := g.means(Options{Workers: 1, Ctx: ctx})
 	if err != nil {
 		return 0, err
 	}

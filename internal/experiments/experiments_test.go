@@ -169,7 +169,7 @@ func TestFig12TracesRun(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	cols, err := Table3()
+	cols, err := Table3(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,11 @@ func TestWriteFunctionsProduceOutput(t *testing.T) {
 	WriteFig1(&sb)
 	WriteTable2(&sb)
 	WriteFig5(&sb)
-	if err := WriteTable3(&sb); err != nil {
+	cols, err := Table3(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RenderTable3(&sb, cols); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFig12(&sb, Options{}); err != nil {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"zeppelin/internal/runner"
 )
 
 // The golden values below pin the regenerated paper numbers of this
@@ -56,7 +54,7 @@ func TestFig12TextDigest(t *testing.T) {
 
 // TestTable3Golden pins the per-component cost ranges (ms) of Table 3.
 func TestTable3Golden(t *testing.T) {
-	cols, err := Table3()
+	cols, err := Table3(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,35 +124,6 @@ func TestExperimentsSerialParallelIdentical(t *testing.T) {
 			if serial[i].Tput[j] != parallel[i].Tput[j] {
 				t.Errorf("%s/%s: serial %v != parallel %v",
 					serial[i].Dataset, serial[i].Labels[j], serial[i].Tput[j], parallel[i].Tput[j])
-			}
-		}
-	}
-}
-
-// TestSharedEngineMemoizesAcrossFigures re-runs a figure on one engine
-// and checks the second pass is served entirely from the memo cache.
-func TestSharedEngineMemoizesAcrossFigures(t *testing.T) {
-	eng := runner.New(runner.Options{})
-	opts := Options{Seeds: 1, Engine: eng}
-	first, err := Fig11(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := eng.CacheSize()
-	if size == 0 {
-		t.Fatal("figure run must populate the engine cache")
-	}
-	second, err := Fig11(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.CacheSize() != size {
-		t.Fatalf("second pass simulated new cells: cache %d -> %d", size, eng.CacheSize())
-	}
-	for i := range first {
-		for j := range first[i].Tput {
-			if first[i].Tput[j] != second[i].Tput[j] {
-				t.Errorf("memoized rerun diverged at %s/%s", first[i].Dataset, first[i].Labels[j])
 			}
 		}
 	}

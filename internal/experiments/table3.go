@@ -6,7 +6,6 @@ import (
 
 	"zeppelin/internal/cluster"
 	"zeppelin/internal/model"
-	"zeppelin/internal/runner"
 	"zeppelin/internal/trainer"
 	"zeppelin/internal/workload"
 	"zeppelin/internal/zeppelin"
@@ -29,12 +28,9 @@ type Table3Column struct {
 
 // Table3 profiles the full-iteration component costs for Zeppelin on the
 // 7B model across four Cluster C nodes with a 128k total context, under
-// the Balanced and Skewed length distributions.
-func Table3() ([]Table3Column, error) { return Table3Opts(Options{}) }
-
-// Table3Opts is Table3 with an explicit execution configuration; both
-// distributions run concurrently through the runner.
-func Table3Opts(opts Options) ([]Table3Column, error) {
+// the Balanced and Skewed length distributions; both distributions run
+// concurrently as one grid.
+func Table3(opts Options) ([]Table3Column, error) {
 	cfg := trainer.Config{
 		Model: model.LLaMA7B, Spec: cluster.ClusterC, Nodes: 4, TP: 1,
 		TokensPerGPU: (128 << 10) / 32, Seed: 11,
@@ -46,23 +42,17 @@ func Table3Opts(opts Options) ([]Table3Column, error) {
 		{"Balanced", workload.BalancedBatch},
 		{"Skewed", workload.SkewedBatch},
 	}
-	var jobs []runner.Job
+	var g grid
 	for _, sp := range samplers {
-		jobs = append(jobs, runner.Job{
-			Key:         "table3/" + sp.name,
-			Config:      cfg,
-			Method:      zeppelin.Full(),
-			Sample:      sp.s,
-			SamplerName: sp.name,
-		})
+		g.jobs = append(g.jobs, job{label: "table3/" + sp.name, cfg: cfg, method: zeppelin.Full(), sample: sp.s})
 	}
-	rs, err := opts.engine().Run(opts.ctx(), jobs)
+	results, err := g.run(opts)
 	if err != nil {
 		return nil, fmt.Errorf("table3: %w", err)
 	}
 	var out []Table3Column
-	for _, sp := range samplers {
-		res := rs.Get("table3/" + sp.name)
+	for i, sp := range samplers {
+		res := results[i]
 		layers := float64(cfg.Model.Layers)
 		col := Table3Column{Distribution: sp.name}
 		col.ForwardAttn = rankRange(res.PerRankPhase["attn-fwd"], layers)
@@ -106,17 +96,7 @@ func rankRange(perRank []float64, layers float64) Table3Range {
 	return r
 }
 
-// WriteTable3 renders the component table.
-func WriteTable3(w io.Writer) error {
-	cols, err := Table3()
-	if err != nil {
-		return err
-	}
-	return RenderTable3(w, cols)
-}
-
-// RenderTable3 renders already-computed columns (cmd/zeppelin computes
-// them with its own engine, then renders here).
+// RenderTable3 renders the component table from computed columns.
 func RenderTable3(w io.Writer, cols []Table3Column) error {
 	fmt.Fprintln(w, "Table 3: per-component cost ranges across ranks (ms), 7B, 128k, 4 Cluster C nodes")
 	fmt.Fprintf(w, "%-30s", "Components (ms)")

@@ -4,39 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"zeppelin/internal/baselines"
-	"zeppelin/internal/cluster"
-	"zeppelin/internal/model"
-	"zeppelin/internal/trainer"
-	"zeppelin/internal/workload"
 )
 
-// quickCfg is a one-node cell small enough that a full grid of it stays
-// fast under -race.
-func quickCfg(seed int64) trainer.Config {
-	return trainer.Config{
-		Model: model.LLaMA3B, Spec: cluster.ClusterA, Nodes: 1, TP: 1,
-		TokensPerGPU: 1024, Seed: seed,
-	}
-}
-
-func quickJob(key string, seed int64, m trainer.Method) Job {
-	return Job{
-		Key:         key,
-		Config:      quickCfg(seed),
-		Method:      m,
-		Sample:      workload.ArXiv.Batch,
-		SamplerName: workload.ArXiv.Name,
-	}
-}
-
+// TestPoolSizing: ForEach runs exactly the resolved number of bodies at
+// once. The first `want` bodies wait until all of them have started, so
+// a smaller pool deadlocks into the timeout, and the peak concurrency
+// over 2×want items must not exceed want.
 func TestPoolSizing(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -49,142 +27,57 @@ func TestPoolSizing(t *testing.T) {
 		{"explicit", 7, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := New(Options{Workers: tc.workers}).Workers(); got != tc.want {
-				t.Fatalf("Workers() = %d, want %d", got, tc.want)
+			var started, active, peak atomic.Int32
+			all := make(chan struct{})
+			err := ForEach(context.Background(), tc.workers, 2*tc.want, func(i int) error {
+				n := active.Add(1)
+				defer active.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if started.Add(1) == int32(tc.want) {
+					close(all)
+				}
+				if i >= tc.want {
+					return nil
+				}
+				select {
+				case <-all:
+					return nil
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("body %d: only %d of %d bodies started", i, started.Load(), tc.want)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := peak.Load(); got != int32(tc.want) {
+				t.Fatalf("peak concurrency = %d, want %d", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestRunCollectsInSubmissionOrder: a pooled grid files every submitted
-// job's result under that job's key, identical to running it alone.
-func TestRunCollectsInSubmissionOrder(t *testing.T) {
-	var jobs []Job
-	for s := 0; s < 6; s++ {
-		jobs = append(jobs, quickJob(fmt.Sprintf("s%d", s), int64(100+s), baselines.TECP{}))
-	}
-	rs, err := New(Options{Workers: 4}).Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every key holds its own job's result, whichever worker ran it.
-	for _, j := range jobs {
-		want, err := trainer.Run(j.Config, j.Method, j.Config.Batch(j.Sample))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rs.Get(j.Key); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: collected result differs from the job run alone:\n%+v\nvs\n%+v", j.Key, got, want)
-		}
-		if rs.TokensPerSec(j.Key) <= 0 {
-			t.Fatalf("%s: non-positive throughput", j.Key)
-		}
-	}
-	if rs.Executed != 6 || rs.CacheHits != 0 {
-		t.Fatalf("executed=%d cacheHits=%d, want 6/0", rs.Executed, rs.CacheHits)
-	}
-}
-
-func TestJobValidation(t *testing.T) {
-	eng := New(Options{})
-	for _, tc := range []struct {
-		name string
-		jobs []Job
-		want string
-	}{
-		{"empty key", []Job{{Method: baselines.TECP{}, Sample: workload.ArXiv.Batch}}, "empty key"},
-		{"duplicate key", []Job{quickJob("a", 1, baselines.TECP{}), quickJob("a", 2, baselines.TECP{})}, "duplicate"},
-		{"nil method", []Job{{Key: "a", Sample: workload.ArXiv.Batch}}, "no method"},
-		{"nil sampler", []Job{{Key: "a", Method: baselines.TECP{}}}, "no sampler"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := eng.Run(context.Background(), tc.jobs); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want substring %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestErrorPropagation checks that a failing cell surfaces its error
-// wrapped with the job key, that the reported failure is the earliest
-// submitted one regardless of pool timing, and that healthy cells in the
-// same grid still ran.
+// TestErrorPropagation: every index runs even when some fail, and the
+// reported failure is the lowest-index one regardless of pool timing.
 func TestErrorPropagation(t *testing.T) {
-	bad := quickJob("bad-early", 1, baselines.TECP{})
-	bad.Config.Nodes = 0 // fails Validate
-	bad2 := quickJob("bad-late", 2, baselines.TECP{})
-	bad2.Config.TP = 3 // does not divide GPUs per node
-	jobs := []Job{quickJob("ok", 3, baselines.TECP{}), bad, bad2}
 	for _, workers := range []int{1, 8} {
-		_, err := New(Options{Workers: workers}).Run(context.Background(), jobs)
-		if err == nil {
-			t.Fatalf("workers=%d: grid with invalid cell must fail", workers)
+		var ran atomic.Int32
+		err := ForEach(context.Background(), workers, 32, func(i int) error {
+			ran.Add(1)
+			switch i {
+			case 5:
+				return errors.New("bad-early")
+			case 20:
+				return errors.New("bad-late")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "bad-early" {
+			t.Fatalf("workers=%d: err = %v, want the earliest failure", workers, err)
 		}
-		if !strings.Contains(err.Error(), `"bad-early"`) {
-			t.Fatalf("workers=%d: err = %v, want the earliest failing key", workers, err)
+		if got := ran.Load(); got != 32 {
+			t.Fatalf("workers=%d: %d of 32 indices ran", workers, got)
 		}
-	}
-}
-
-func TestCacheHits(t *testing.T) {
-	eng := New(Options{Workers: 4})
-	// A baseline method keeps this cheap; determinism_ext_test.go covers
-	// the full Zeppelin method.
-	same := func(key string) Job { return quickJob(key, 42, baselines.HybridDP{}) }
-	rs, err := eng.Run(context.Background(), []Job{same("a"), same("b"), quickJob("c", 43, baselines.HybridDP{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Executed != 2 || rs.CacheHits != 1 {
-		t.Fatalf("executed=%d cacheHits=%d, want 2/1", rs.Executed, rs.CacheHits)
-	}
-	if rs.Get("a") != rs.Get("b") {
-		t.Fatal("memoized duplicate must share the leader's result")
-	}
-	if rs.Get("a") == rs.Get("c") {
-		t.Fatal("different seeds must not share a result")
-	}
-
-	// A second Run on the same engine hits the persistent cache.
-	rs2, err := eng.Run(context.Background(), []Job{same("again")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs2.Executed != 0 || rs2.CacheHits != 1 {
-		t.Fatalf("cross-run: executed=%d cacheHits=%d, want 0/1", rs2.Executed, rs2.CacheHits)
-	}
-	if eng.CacheSize() != 2 {
-		t.Fatalf("cache size = %d, want 2", eng.CacheSize())
-	}
-}
-
-// TestMethodFieldsKeepDistinctCacheEntries guards the hash against the
-// display-name trap: TECP{} and TECP{Routed: true} share Name() but are
-// different methods and must not be memoized together.
-func TestMethodFieldsKeepDistinctCacheEntries(t *testing.T) {
-	rs, err := New(Options{}).Run(context.Background(), []Job{
-		quickJob("plain", 7, baselines.TECP{}),
-		quickJob("routed", 7, baselines.TECP{Routed: true}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.CacheHits != 0 {
-		t.Fatal("methods differing only in fields must not share cache entries")
-	}
-}
-
-func TestAnonymousSamplersNeverMemoize(t *testing.T) {
-	eng := New(Options{})
-	j1, j2 := quickJob("a", 5, baselines.TECP{}), quickJob("b", 5, baselines.TECP{})
-	j1.SamplerName, j2.SamplerName = "", ""
-	rs, err := eng.Run(context.Background(), []Job{j1, j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Executed != 2 || rs.CacheHits != 0 || eng.CacheSize() != 0 {
-		t.Fatalf("anonymous samplers memoized: executed=%d hits=%d cache=%d",
-			rs.Executed, rs.CacheHits, eng.CacheSize())
 	}
 }
 

@@ -408,30 +408,6 @@ func (e *Engine) CriticalPath() Time {
 	return best
 }
 
-// RankSpans returns, for each rank present, the earliest start and latest
-// end among its non-barrier tasks. Useful for imbalance reporting.
-func (e *Engine) RankSpans() map[int][2]Time {
-	out := make(map[int][2]Time)
-	for _, t := range e.tasks {
-		if t.Kind == KindBarrier || t.state != stateDone {
-			continue
-		}
-		sp, ok := out[t.Rank]
-		if !ok {
-			out[t.Rank] = [2]Time{t.Start, t.End}
-			continue
-		}
-		if t.Start < sp[0] {
-			sp[0] = t.Start
-		}
-		if t.End > sp[1] {
-			sp[1] = t.End
-		}
-		out[t.Rank] = sp
-	}
-	return out
-}
-
 // AlmostEqual reports whether two times are equal within a small tolerance,
 // for use in tests that compare schedules built through different paths.
 func AlmostEqual(a, b Time) bool {

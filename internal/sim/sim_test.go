@@ -225,25 +225,6 @@ func TestCriticalPathLowerBoundsMakespan(t *testing.T) {
 	}
 }
 
-func TestRankSpans(t *testing.T) {
-	e := NewEngine()
-	r0 := e.NewResource(ResourceName{}, 0)
-	r1 := e.NewResource(ResourceName{}, 0)
-	e.Compute(Named("a"), 0, r0, 1)
-	late := e.Compute(Named("b"), 0, r0, 2)
-	late.After(e.Compute(Named("c"), 1, r1, 3))
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	spans := e.RankSpans()
-	if spans[0][0] != 0 || spans[0][1] != 5 {
-		t.Fatalf("rank 0 span = %v, want [0,5]", spans[0])
-	}
-	if len(spans) != 2 || spans[1][0] != 0 || spans[1][1] != 3 {
-		t.Fatalf("spans = %v, want rank 0 [0,5] and rank 1 [0,3]", spans)
-	}
-}
-
 func TestOnTaskDoneHookOrdering(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(ResourceName{}, 0)

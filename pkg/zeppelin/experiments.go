@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"zeppelin/internal/experiments"
-	"zeppelin/internal/runner"
 	"zeppelin/internal/workload"
 )
 
@@ -40,22 +39,17 @@ func IsExperiment(name string) bool {
 	return false
 }
 
-// opts maps public options (plus a context and an optional shared
-// engine) onto the internal experiment options.
-func (o Options) internal(ctx context.Context, eng *runner.Engine) experiments.Options {
-	return experiments.Options{Seeds: o.Seeds, Workers: o.Workers, Engine: eng, Ctx: ctx}
-}
-
-// engine builds the shared engine one invocation's experiments run on.
-func (o Options) engine() *runner.Engine {
-	return runner.New(runner.Options{Workers: o.Workers})
+// internal maps public options plus a context onto the internal
+// experiment options.
+func (o Options) internal(ctx context.Context) experiments.Options {
+	return experiments.Options{Seeds: o.Seeds, Workers: o.Workers, Ctx: ctx}
 }
 
 // RunExperiment computes one experiment's structured result — the JSON
 // document the /v1/experiments/{name} endpoint serves. Cancelling ctx
 // stops the experiment's simulation grid and returns ctx.Err().
 func RunExperiment(ctx context.Context, name string, o Options) (any, error) {
-	return runExperiment(name, o.internal(ctx, o.engine()))
+	return runExperiment(name, o.internal(ctx))
 }
 
 // runExperiment dispatches one experiment on resolved internal options.
@@ -88,14 +82,14 @@ func runExperiment(name string, opts experiments.Options) (any, error) {
 	case "fig16":
 		return experiments.Fig16(opts)
 	case "table3":
-		return experiments.Table3Opts(opts)
+		return experiments.Table3(opts)
 	}
 	return nil, fmt.Errorf("zeppelin: unknown experiment %q", name)
 }
 
 // RenderExperiment writes one experiment's paper-style text rendering.
 func RenderExperiment(ctx context.Context, w io.Writer, name string, o Options) error {
-	return renderExperiment(w, name, o.internal(ctx, o.engine()))
+	return renderExperiment(w, name, o.internal(ctx))
 }
 
 // renderExperiment dispatches one rendering on resolved options.
@@ -131,7 +125,7 @@ func renderExperiment(w io.Writer, name string, opts experiments.Options) error 
 	case "fig16":
 		return experiments.WriteFig16(w, opts)
 	case "table3":
-		cols, err := experiments.Table3Opts(opts)
+		cols, err := experiments.Table3(opts)
 		if err != nil {
 			return err
 		}
@@ -148,10 +142,11 @@ type NamedResult struct {
 	Result any    `json:"result"`
 }
 
-// RunAllExperiments computes every experiment in paper order on one
-// shared engine, so cells common to several figures simulate once.
+// RunAllExperiments computes every experiment in paper order. Each
+// experiment simulates its own grid; a cell two figures share runs in
+// both.
 func RunAllExperiments(ctx context.Context, o Options) ([]NamedResult, error) {
-	opts := o.internal(ctx, o.engine())
+	opts := o.internal(ctx)
 	out := make([]NamedResult, 0, len(Experiments()))
 	for _, name := range Experiments() {
 		r, err := runExperiment(name, opts)
@@ -163,10 +158,10 @@ func RunAllExperiments(ctx context.Context, o Options) ([]NamedResult, error) {
 	return out, nil
 }
 
-// RenderAllExperiments renders every experiment in paper order on one
-// shared engine, under `================ name ================` banners.
+// RenderAllExperiments renders every experiment in paper order, under
+// `================ name ================` banners.
 func RenderAllExperiments(ctx context.Context, w io.Writer, o Options) error {
-	opts := o.internal(ctx, o.engine())
+	opts := o.internal(ctx)
 	for _, name := range Experiments() {
 		fmt.Fprintf(w, "\n================ %s ================\n", name)
 		if err := renderExperiment(w, name, opts); err != nil {

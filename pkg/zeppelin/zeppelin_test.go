@@ -7,6 +7,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"zeppelin/internal/campaign"
 	"zeppelin/internal/cluster"
@@ -275,5 +276,19 @@ func TestExperimentsSurface(t *testing.T) {
 	}
 	if _, err := RunExperiment(context.Background(), "fig99", Options{}); err == nil {
 		t.Fatal("unknown experiment must fail")
+	}
+}
+
+// TestRunExperimentReturnsContextErrorPromptly: a pre-cancelled context
+// starts none of fig8's 432 grid jobs and surfaces context.Canceled.
+func TestRunExperimentReturnsContextErrorPromptly(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if _, err := RunExperiment(ctx, "fig8", Options{Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fig8 error = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled fig8 took %v", d)
 	}
 }
